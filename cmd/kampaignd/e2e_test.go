@@ -19,6 +19,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -124,7 +125,9 @@ func submit(t *testing.T, baseURL string, spec wire.StudySpec, shardSize int) st
 		msg, _ := io.ReadAll(resp.Body)
 		t.Fatalf("submit: %s: %s", resp.Status, msg)
 	}
-	var out struct{ ID string `json:"id"` }
+	var out struct {
+		ID string `json:"id"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +231,31 @@ func TestKampaigndTwoPoolParity(t *testing.T) {
 	got := fetchResults(t, ts.URL, id)
 	if !bytes.Equal(got, want) {
 		t.Fatal("two-pool merged result set differs from the single-process run")
+	}
+
+	// Every accounted ordinal is counted as a run or a quarantine, both
+	// in the status and in the merged journal's trailer, and every
+	// pool's runs land in its own per-worker row.
+	j, err := journal.Read(filepath.Join(m.dataDir, id, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, snap := range map[string]*obs.Snapshot{"status": st.Metrics, "trailer": j.Trailer} {
+		if snap == nil {
+			t.Fatalf("%s: no metrics", name)
+		}
+		if got := snap.RunsCompleted + snap.Quarantined; got != st.Progress.Done {
+			t.Fatalf("%s: RunsCompleted %d + Quarantined %d != Progress.Done %d",
+				name, snap.RunsCompleted, snap.Quarantined, st.Progress.Done)
+		}
+		var rows int64
+		for _, w := range snap.Workers {
+			rows += w.Runs
+		}
+		if len(snap.Workers) != 2 || rows != snap.RunsCompleted {
+			t.Fatalf("%s: per-pool rows %+v hold %d runs, want 2 rows holding %d",
+				name, snap.Workers, rows, snap.RunsCompleted)
+		}
 	}
 }
 

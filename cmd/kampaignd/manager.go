@@ -204,7 +204,7 @@ func (m *manager) Submit(spec wire.StudySpec, shardSize int) (*campaign, error) 
 		return nil, err
 	}
 
-	c := newCampaign(id, dir, spec, shardSize)
+	c := newCampaign(id, dir, spec, shardSize, m.plan)
 	m.mu.Lock()
 	m.campaigns[id] = c
 	m.mu.Unlock()
@@ -234,7 +234,7 @@ func (m *manager) Resume() ([]string, error) {
 		if err := json.Unmarshal(buf, &rec); err != nil {
 			return nil, fmt.Errorf("%s: corrupt %s: %w", e.Name(), specFile, err)
 		}
-		c := newCampaign(e.Name(), dir, rec.Spec, rec.ShardSize)
+		c := newCampaign(e.Name(), dir, rec.Spec, rec.ShardSize, m.plan)
 		m.mu.Lock()
 		m.campaigns[c.id] = c
 		var n int
@@ -290,10 +290,12 @@ type campaign struct {
 	fl     *fleet.Fleet
 }
 
-func newCampaign(id, dir string, spec wire.StudySpec, shardSize int) *campaign {
+// newCampaign prepares a campaign. Its metrics keep one per-worker row
+// per pool of the plan: the fleet accounts runs by pool index.
+func newCampaign(id, dir string, spec wire.StudySpec, shardSize int, plan poolPlan) *campaign {
 	return &campaign{
 		id: id, dir: dir, spec: spec, shardSize: shardSize,
-		metrics: obs.New(0),
+		metrics: obs.New(plan.pools + plan.remotePools),
 		state:   stateBooting,
 	}
 }

@@ -123,9 +123,9 @@ type Config struct {
 	// the runners, forcing per-instruction interpretation. Results are
 	// identical either way.
 	NoBlocks bool
-	// Cancel, when set, is polled between runs by the serial loop and
-	// by every parallel worker; once true the campaign stops and
-	// RunCampaign returns ErrCancelled (graceful shutdown).
+	// Cancel, when set, is polled by every worker before it claims a
+	// target; once true the campaign stops and RunCampaign returns
+	// ErrCancelled (graceful shutdown).
 	Cancel *atomic.Bool
 	// Remote, when set, executes every injection in an isolated worker
 	// process instead of the in-process runner (-isolation=process).
@@ -189,22 +189,10 @@ func New(cfg Config) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: profile: %w", err)
 	}
-	runner, err := inject.NewRunnerWithOptions(ws, inject.RunnerOptions{
-		DisableAssertions: cfg.DisableAssertions,
-		RunTimeout:        cfg.RunTimeout,
-		NoCheckpoint:      cfg.NoCheckpoint,
-		NoBlocks:          cfg.NoBlocks,
-		Model:             model,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: runner: %w", err)
-	}
-
 	s := &Study{
 		Cfg:     cfg,
 		Profile: prof,
 		Core:    prof.TopCovering(cfg.CoverFrac),
-		Runner:  runner,
 		Model:   model,
 		Set: &analysis.ResultSet{
 			Version:    analysis.SchemaVersion,
@@ -216,6 +204,9 @@ func New(cfg Config) (*Study, error) {
 		FuncsFor:    make(map[inject.Campaign][]asm.Func),
 		targetCache: make(map[inject.Campaign][]inject.Target),
 		ws:          ws,
+	}
+	if s.Runner, err = inject.NewRunnerWithOptions(ws, s.runnerOptions()); err != nil {
+		return nil, fmt.Errorf("core: runner: %w", err)
 	}
 	s.selectFunctions()
 	return s, nil
@@ -352,8 +343,8 @@ func (s *Study) runnerOptions() inject.RunnerOptions {
 // simulated machines have diverged and every fail-silence verdict the
 // new runner produced would be incomparable. The study's harness
 // fault-injection hook is carried over so retries see the same hook.
-func (s *Study) bootValidatedRunner(ws []kernel.Workload) (*inject.Runner, error) {
-	r, err := newRunner(ws, s.runnerOptions())
+func (s *Study) bootValidatedRunner() (*inject.Runner, error) {
+	r, err := newRunner(s.ws, s.runnerOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +366,7 @@ func (s *Study) bootValidatedRunner(ws []kernel.Workload) (*inject.Runner, error
 // (hf != nil), and the runner the worker should continue with. A
 // non-nil error means the harness could not recover (replacement boot
 // or validation failed) and the campaign must abort.
-func (s *Study) runReliable(runner *inject.Runner, worker int, c inject.Campaign, t inject.Target, ws []kernel.Workload) (res inject.Result, hf *inject.HarnessFault, out *inject.Runner, err error) {
+func (s *Study) runReliable(runner *inject.Runner, worker int, c inject.Campaign, t inject.Target) (res inject.Result, hf *inject.HarnessFault, out *inject.Runner, err error) {
 	out = runner
 	m := s.Cfg.Metrics
 	for attempt := 0; ; attempt++ {
@@ -383,7 +374,7 @@ func (s *Study) runReliable(runner *inject.Runner, worker int, c inject.Campaign
 		if hf == nil {
 			return res, nil, out, nil
 		}
-		fresh, berr := s.bootValidatedRunner(ws)
+		fresh, berr := s.bootValidatedRunner()
 		if berr != nil {
 			return res, hf, out, fmt.Errorf("core: worker %d: reboot after harness fault (%v): %w", worker, hf, berr)
 		}
@@ -419,7 +410,7 @@ func (s *Study) RunOrdinal(c inject.Campaign, ordinal int) (inject.Result, *inje
 	if ordinal < 0 || ordinal >= len(targets) {
 		return inject.Result{}, nil, fmt.Errorf("core: ordinal %d out of range (campaign %v has %d targets)", ordinal, c, len(targets))
 	}
-	res, hf, runner, err := s.runReliable(s.Runner, 0, c, targets[ordinal], s.ws)
+	res, hf, runner, err := s.runReliable(s.Runner, 0, c, targets[ordinal])
 	s.Runner = runner
 	return res, hf, err
 }
@@ -464,7 +455,8 @@ func (s *Study) storeCampaign(key string, results []inject.Result, prior map[int
 
 // RunCampaign executes one campaign and stores the results. With
 // Cfg.Workers > 1, targets are spread across independent simulated
-// machines; the result slice is ordered by target, so the output is
+// machines (or, with Cfg.Remote, dispatched concurrently to the remote
+// fleet); the result slice is ordered by target, so the output is
 // identical to a serial run. Targets listed in Cfg.SkipCompleted are
 // restored from their journaled results instead of re-run, targets in
 // Cfg.Quarantined stay excluded, and every freshly completed result is
@@ -483,16 +475,18 @@ func (s *Study) RunCampaign(c inject.Campaign) ([]inject.Result, error) {
 	skip := s.Cfg.SkipCompleted[key]
 	prior := s.Cfg.Quarantined[key]
 	results := make([]inject.Result, total)
-	nskip, nprior := 0, 0
+	var pending []int
+	nskip := 0
 	for i := range targets {
 		if prior[i] {
-			nprior++
 			continue
 		}
 		if res, ok := skip[i]; ok {
 			results[i] = res
 			nskip++
+			continue
 		}
+		pending = append(pending, i)
 	}
 	if s.Cfg.Metrics != nil && nskip > 0 {
 		s.Cfg.Metrics.Skip(nskip)
@@ -502,176 +496,110 @@ func (s *Study) RunCampaign(c inject.Campaign) ([]inject.Result, error) {
 			return nil, err
 		}
 	}
-	ws := unixbench.Suite(unixbench.Scale(s.Cfg.Scale))
-	if nskip+nprior == total {
+	if len(pending) == 0 {
 		if s.Cfg.Progress != nil && total > 0 {
 			s.Cfg.Progress(c, "", total, total)
 		}
 		return s.storeCampaign(key, results, prior, nil), nil
 	}
-	if s.Cfg.Remote != nil {
-		return s.runCampaignRemote(c, key, targets, skip, prior, results, nskip+nprior)
-	}
 
-	workers := s.Cfg.Workers
-	if workers <= 1 {
-		fresh := make(map[int]bool)
-		done := nskip + nprior
-		for i, t := range targets {
-			if prior[i] {
-				continue
-			}
-			if _, ok := skip[i]; ok {
-				continue
-			}
-			if s.cancelled() {
-				return nil, ErrCancelled
-			}
-			res, hf, runner, err := s.runReliable(s.Runner, 0, c, t, ws)
-			s.Runner = runner
-			if err != nil {
-				return nil, err
-			}
-			if hf != nil {
-				fresh[i] = true
-				if s.Cfg.Sink != nil {
-					if err := s.Cfg.Sink.Quarantine(c, 0, i, *hf); err != nil {
-						return nil, err
-					}
-				}
-			} else {
-				results[i] = res
-				if s.Cfg.Sink != nil {
-					if err := s.Cfg.Sink.Put(c, 0, i, total, res); err != nil {
-						return nil, err
-					}
-				}
-			}
-			done++
-			if s.Cfg.Progress != nil {
-				s.Cfg.Progress(c, t.Func.Name, done, total)
-			}
+	workers := min(max(s.Cfg.Workers, 1), len(pending))
+	var run func(w, i int) (inject.Result, *inject.HarnessFault, error)
+	if s.Cfg.Remote != nil {
+		run = func(w, i int) (inject.Result, *inject.HarnessFault, error) {
+			return RunRemote(s.Cfg.Remote, s.Cfg.Metrics, w, key, i)
 		}
-		return s.storeCampaign(key, results, prior, fresh), nil
+	} else {
+		runners, err := s.bootWorkers(workers)
+		if err != nil {
+			return nil, err
+		}
+		// Worker 0 may reboot its runner after a harness fault; keep the
+		// study pointed at the live one.
+		defer func() { s.Runner = runners[0] }()
+		run = func(w, i int) (inject.Result, *inject.HarnessFault, error) {
+			res, hf, r, err := s.runReliable(runners[w], w, c, targets[i])
+			runners[w] = r
+			return res, hf, err
+		}
 	}
 
 	var (
-		next  int32 = -1
-		done  int32 = int32(nskip + nprior)
-		abort atomic.Bool
-		wg    sync.WaitGroup
 		mu    sync.Mutex
-		rerr  error
+		done  = total - len(pending)
+		fresh = make(map[int]bool)
 	)
-	fresh := make(map[int]bool)
-	fail := func(err error) {
-		mu.Lock()
-		if rerr == nil {
-			rerr = err
+	err = Dispatch(len(pending), workers, s.cancelled, func(w, k int) error {
+		i := pending[k]
+		res, hf, err := run(w, i)
+		if err != nil {
+			return err
 		}
-		mu.Unlock()
-		abort.Store(true)
-	}
-	// Boot every extra worker before any injection runs. Each boot
-	// cross-validates the worker's golden fingerprint and disk hash
-	// against worker 0's, so a diverged simulated machine aborts the
-	// campaign with a diagnostic before a single result is journaled
-	// (and a worker that cannot boot aborts its siblings right away:
-	// without that they would execute the whole doomed campaign before
-	// the error discarded it).
-	runners := make([]*inject.Runner, workers)
-	runners[0] = s.Runner
-	var boot sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		boot.Add(1)
-		go func(w int) {
-			defer boot.Done()
-			r, err := s.bootValidatedRunner(ws)
+		if s.Cfg.Sink != nil {
+			if hf != nil {
+				err = s.Cfg.Sink.Quarantine(c, w, i, *hf)
+			} else {
+				err = s.Cfg.Sink.Put(c, w, i, total, res)
+			}
 			if err != nil {
-				fail(fmt.Errorf("core: worker %d: %w", w, err))
-				return
+				return err
 			}
-			runners[w] = r
-		}(w)
+		}
+		// Progress calls are serialized so done counts arrive in order
+		// and the last call reports done == total.
+		mu.Lock()
+		defer mu.Unlock()
+		if hf != nil {
+			fresh[i] = true
+		} else {
+			results[i] = res
+		}
+		done++
+		if s.Cfg.Progress != nil {
+			s.Cfg.Progress(c, targets[i].Func.Name, done, total)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	boot.Wait()
-	if rerr != nil {
-		return nil, rerr
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			runner := runners[w]
-			defer func() { runners[w] = runner }()
-			for !abort.Load() && !s.cancelled() {
-				i := int(atomic.AddInt32(&next, 1))
-				if i >= total {
-					return
-				}
-				if prior[i] {
-					continue
-				}
-				if _, ok := skip[i]; ok {
-					continue
-				}
-				res, hf, r, err := s.runReliable(runner, w, c, targets[i], ws)
-				runner = r
-				if err != nil {
-					fail(err)
-					return
-				}
-				if hf != nil {
-					mu.Lock()
-					fresh[i] = true
-					mu.Unlock()
-					if s.Cfg.Sink != nil {
-						if err := s.Cfg.Sink.Quarantine(c, w, i, *hf); err != nil {
-							fail(err)
-							return
-						}
-					}
-				} else {
-					results[i] = res
-					if s.Cfg.Sink != nil {
-						if err := s.Cfg.Sink.Put(c, w, i, total, res); err != nil {
-							fail(err)
-							return
-						}
-					}
-				}
-				n := int(atomic.AddInt32(&done, 1))
-				if s.Cfg.Progress != nil && (n%64 == 0 || n == total) {
-					mu.Lock()
-					s.Cfg.Progress(c, targets[i].Func.Name, n, total)
-					mu.Unlock()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Worker 0 may have rebooted its runner after a harness fault; keep
-	// the study pointed at the live one (wg.Wait orders the read).
-	s.Runner = runners[0]
-	if rerr != nil {
-		return nil, rerr
-	}
-	if s.cancelled() {
+	if done < total { // Dispatch stopped early without an error
 		return nil, ErrCancelled
 	}
 	return s.storeCampaign(key, results, prior, fresh), nil
 }
 
-// runRemote dispatches one target to the remote fleet with metrics
-// accounting (the remote worker's own in-process retries are invisible
-// here; the supervisor-level fault is counted once).
-func (s *Study) runRemote(worker int, key string, ordinal int) (inject.Result, *inject.HarnessFault, error) {
-	m := s.Cfg.Metrics
+// bootWorkers returns one runner per in-process worker: worker 0 keeps
+// the study's runner, and the others are booted concurrently before any
+// injection runs. Each boot cross-validates the worker's golden
+// fingerprint and disk hash against worker 0's, so a diverged or
+// unbootable machine aborts the campaign with a diagnostic before a
+// single result is journaled.
+func (s *Study) bootWorkers(workers int) ([]*inject.Runner, error) {
+	runners := make([]*inject.Runner, workers)
+	runners[0] = s.Runner
+	err := Dispatch(workers-1, workers-1, nil, func(_, k int) error {
+		r, err := s.bootValidatedRunner()
+		if err != nil {
+			return fmt.Errorf("core: worker %d: %w", k+1, err)
+		}
+		runners[k+1] = r
+		return nil
+	})
+	return runners, err
+}
+
+// RunRemote executes one target on r for the given worker, with
+// metrics accounting (m may be nil). The remote worker's own
+// in-process retries are invisible here; the fault it reports is
+// counted once. It is the run step of both remote executors: the
+// process-isolated campaign loop (Config.Remote) and the fleet's pools.
+func RunRemote(r Remote, m *obs.Metrics, worker int, campaign string, ordinal int) (inject.Result, *inject.HarnessFault, error) {
 	if m != nil {
 		m.RunStarted(worker)
 	}
 	start := time.Now()
-	res, hf, err := s.Cfg.Remote.Do(key, ordinal)
+	res, hf, err := r.Do(campaign, ordinal)
 	if err != nil {
 		return inject.Result{}, nil, err
 	}
@@ -683,7 +611,7 @@ func (s *Study) runRemote(worker int, key string, ordinal int) (inject.Result, *
 		return inject.Result{}, hf, nil
 	}
 	if res == nil {
-		return inject.Result{}, nil, fmt.Errorf("core: remote run %s/%d returned neither result nor fault", key, ordinal)
+		return inject.Result{}, nil, fmt.Errorf("core: remote run %s/%d returned neither result nor fault", campaign, ordinal)
 	}
 	if m != nil {
 		m.RunFinished(worker, res, time.Since(start))
@@ -691,128 +619,41 @@ func (s *Study) runRemote(worker int, key string, ordinal int) (inject.Result, *
 	return *res, nil, nil
 }
 
-// runCampaignRemote is the process-isolation campaign loop: targets
-// are dispatched to the remote worker fleet (Cfg.Remote) instead of
-// in-process simulated machines. Results are keyed by ordinal, so the
-// stored set is byte-identical to an in-process run of the same seed;
-// quarantines (worker-side retry exhaustion or supervisor breaker
-// trips) flow through the same sink frames as in-process ones.
-func (s *Study) runCampaignRemote(c inject.Campaign, key string, targets []inject.Target, skip map[int]inject.Result, prior map[int]bool, results []inject.Result, preDone int) ([]inject.Result, error) {
-	total := len(targets)
-	workers := s.Cfg.Workers
-	if workers <= 1 {
-		fresh := make(map[int]bool)
-		done := preDone
-		for i := range targets {
-			if prior[i] {
-				continue
-			}
-			if _, ok := skip[i]; ok {
-				continue
-			}
-			if s.cancelled() {
-				return nil, ErrCancelled
-			}
-			res, hf, err := s.runRemote(0, key, i)
-			if err != nil {
-				return nil, err
-			}
-			if hf != nil {
-				fresh[i] = true
-				if s.Cfg.Sink != nil {
-					if err := s.Cfg.Sink.Quarantine(c, 0, i, *hf); err != nil {
-						return nil, err
-					}
-				}
-			} else {
-				results[i] = res
-				if s.Cfg.Sink != nil {
-					if err := s.Cfg.Sink.Put(c, 0, i, total, res); err != nil {
-						return nil, err
-					}
-				}
-			}
-			done++
-			if s.Cfg.Progress != nil {
-				s.Cfg.Progress(c, targets[i].Func.Name, done, total)
-			}
-		}
-		return s.storeCampaign(key, results, prior, fresh), nil
-	}
-
+// Dispatch calls do(w, i) for the indices i in [0, n), each at most
+// once, from min(workers, n) goroutines; w is the calling goroutine's
+// worker number, in [0, min(workers, n)). Indices are claimed in
+// ascending order until all are claimed, stop (polled before every
+// claim when non-nil) reports true, or a call fails. The first error
+// stops new claims, lets in-flight calls finish, and is returned. It
+// is the one claim loop behind every executor: in-process and remote
+// campaigns and fleet shards.
+func Dispatch(n, workers int, stop func() bool, do func(w, i int) error) error {
 	var (
-		next  int32 = -1
-		done  int32 = int32(preDone)
-		abort atomic.Bool
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		rerr  error
+		next   atomic.Int64
+		failed atomic.Bool
+		once   sync.Once
+		first  error
+		wg     sync.WaitGroup
 	)
-	fresh := make(map[int]bool)
-	fail := func(err error) {
-		mu.Lock()
-		if rerr == nil {
-			rerr = err
-		}
-		mu.Unlock()
-		abort.Store(true)
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for !abort.Load() && !s.cancelled() {
-				i := int(atomic.AddInt32(&next, 1))
-				if i >= total {
+			for !failed.Load() && (stop == nil || !stop()) {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				if prior[i] {
-					continue
-				}
-				if _, ok := skip[i]; ok {
-					continue
-				}
-				res, hf, err := s.runRemote(w, key, i)
-				if err != nil {
-					fail(err)
+				if err := do(w, i); err != nil {
+					once.Do(func() { first = err })
+					failed.Store(true)
 					return
-				}
-				if hf != nil {
-					mu.Lock()
-					fresh[i] = true
-					mu.Unlock()
-					if s.Cfg.Sink != nil {
-						if err := s.Cfg.Sink.Quarantine(c, w, i, *hf); err != nil {
-							fail(err)
-							return
-						}
-					}
-				} else {
-					results[i] = res
-					if s.Cfg.Sink != nil {
-						if err := s.Cfg.Sink.Put(c, w, i, total, res); err != nil {
-							fail(err)
-							return
-						}
-					}
-				}
-				n := int(atomic.AddInt32(&done, 1))
-				if s.Cfg.Progress != nil && (n%64 == 0 || n == total) {
-					mu.Lock()
-					s.Cfg.Progress(c, targets[i].Func.Name, n, total)
-					mu.Unlock()
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if rerr != nil {
-		return nil, rerr
-	}
-	if s.cancelled() {
-		return nil, ErrCancelled
-	}
-	return s.storeCampaign(key, results, prior, fresh), nil
+	return first
 }
 
 // RunAll executes every configured campaign.

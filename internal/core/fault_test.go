@@ -31,7 +31,8 @@ func poisonHook(poison inject.Target, calls *atomic.Int32) func(inject.Campaign,
 
 // TestHarnessPanicRetriesThenSucceeds: a transient panic on one target
 // is retried on a freshly booted runner and the campaign's saved
-// result set comes out byte-identical to an undisturbed run.
+// result set comes out byte-identical to an undisturbed run, under
+// every executor shape.
 func TestHarnessPanicRetriesThenSucceeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs injections")
@@ -47,39 +48,38 @@ func TestHarnessPanicRetriesThenSucceeds(t *testing.T) {
 	}
 	want := saveBytes(t, ref, filepath.Join(dir, "ref.json.gz"))
 
-	cfg := resumeTestConfig()
-	metrics := obs.New(1)
-	cfg.Metrics = metrics
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets, err := s.Targets(inject.CampaignC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poison := targets[5]
-	var calls atomic.Int32
-	s.Runner.HookBeforeRun = func(c inject.Campaign, tg inject.Target) {
-		if tg == poison && calls.Add(1) == 1 {
-			panic("transient harness bug (test)")
-		}
-	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("campaign died on a recoverable panic: %v", err)
-	}
-	if calls.Load() < 2 {
-		t.Fatalf("poison target attempted %d times, want a retry", calls.Load())
-	}
-	snap := metrics.Snapshot()
-	if snap.HarnessFaults["panic"] != 1 || snap.Retries < 1 || snap.RunnerReboots < 1 {
-		t.Fatalf("metrics: faults=%v retries=%d reboots=%d",
-			snap.HarnessFaults, snap.Retries, snap.RunnerReboots)
-	}
+	for _, sh := range execShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			metrics := obs.New(sh.workers)
+			s, exec := newShapeStudy(t, resumeTestConfig(), sh, metrics)
+			targets, err := s.Targets(inject.CampaignC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poison := targets[5]
+			var calls atomic.Int32
+			exec.Runner.HookBeforeRun = func(c inject.Campaign, tg inject.Target) {
+				if tg == poison && calls.Add(1) == 1 {
+					panic("transient harness bug (test)")
+				}
+			}
+			if err := s.RunAll(); err != nil {
+				t.Fatalf("campaign died on a recoverable panic: %v", err)
+			}
+			if calls.Load() < 2 {
+				t.Fatalf("poison target attempted %d times, want a retry", calls.Load())
+			}
+			snap := metrics.Snapshot()
+			if snap.HarnessFaults["panic"] != 1 || snap.Retries < 1 || snap.RunnerReboots < 1 {
+				t.Fatalf("metrics: faults=%v retries=%d reboots=%d",
+					snap.HarnessFaults, snap.Retries, snap.RunnerReboots)
+			}
 
-	got := saveBytes(t, s, filepath.Join(dir, "retried.json.gz"))
-	if !equalBytes(want, got) {
-		t.Fatal("result set after panic+retry differs from undisturbed run")
+			got := saveBytes(t, s, filepath.Join(dir, sh.name+".json.gz"))
+			if !equalBytes(want, got) {
+				t.Fatal("result set after panic+retry differs from undisturbed run")
+			}
+		})
 	}
 }
 

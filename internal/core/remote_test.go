@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/inject"
+	"repro/internal/obs"
 )
 
 // localRemote implements Remote on a second, independently booted
@@ -39,6 +40,52 @@ func (r *localRemote) Do(campaign string, ordinal int) (*inject.Result, *inject.
 		return nil, hf, nil
 	}
 	return &res, nil, nil
+}
+
+// execShapes are the executor shapes a campaign must behave the same
+// under: serial, in-process parallel, and the Remote path with one and
+// with several dispatchers.
+var execShapes = []execShape{
+	{"serial", 1, false},
+	{"inproc-workers=3", 3, false},
+	{"remote-workers=1", 1, true},
+	{"remote-workers=3", 3, true},
+}
+
+type execShape struct {
+	name    string
+	workers int
+	remote  bool
+}
+
+// newShapeStudy builds the study cfg describes on one executor shape;
+// cfg must describe resumeTestConfig's study, which is what a remote
+// shape's worker side boots. exec is the study whose runner executes
+// the injections (s itself, or the second study behind a localRemote)
+// and is the one given metrics, so harness-fault retries are counted
+// where they happen.
+func newShapeStudy(t *testing.T, cfg Config, sh execShape, metrics *obs.Metrics) (s, exec *Study) {
+	t.Helper()
+	cfg.Workers = sh.workers
+	if sh.remote {
+		wcfg := resumeTestConfig()
+		wcfg.Metrics = metrics
+		var err error
+		if exec, err = New(wcfg); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Remote = &localRemote{s: exec}
+	} else {
+		cfg.Metrics = metrics
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exec == nil {
+		exec = s
+	}
+	return s, exec
 }
 
 // The remote dispatch path must produce a byte-identical result set to

@@ -296,39 +296,40 @@ func TestWorkerBootFailureAborts(t *testing.T) {
 }
 
 // TestParallelFinalProgress: the last progress update must fire with
-// done == total even when total is not a multiple of 64 (the bug that
-// left kinject's status line unterminated).
+// done == total under every executor shape, also when total is not a
+// multiple of 64 (the bug that left kinject's status line
+// unterminated).
 func TestParallelFinalProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs injections")
 	}
-	cfg := resumeTestConfig()
-	cfg.Workers = 3
-	var mu sync.Mutex
-	lastDone, lastTotal := -1, -1
-	cfg.Progress = func(c inject.Campaign, fn string, done, total int) {
-		mu.Lock()
-		lastDone, lastTotal = done, total
-		mu.Unlock()
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets, err := s.Targets(inject.CampaignC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := len(targets)
-	if _, err := s.RunCampaign(inject.CampaignC); err != nil {
-		t.Fatal(err)
-	}
-	if total%64 == 0 {
-		t.Fatalf("test needs a total that is not a multiple of 64, got %d", total)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if lastDone != total || lastTotal != total {
-		t.Fatalf("final progress = %d/%d, want %d/%d", lastDone, lastTotal, total, total)
+	for _, sh := range execShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			cfg := resumeTestConfig()
+			var mu sync.Mutex
+			lastDone, lastTotal := -1, -1
+			cfg.Progress = func(c inject.Campaign, fn string, done, total int) {
+				mu.Lock()
+				lastDone, lastTotal = done, total
+				mu.Unlock()
+			}
+			s, _ := newShapeStudy(t, cfg, sh, nil)
+			targets, err := s.Targets(inject.CampaignC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := len(targets)
+			if _, err := s.RunCampaign(inject.CampaignC); err != nil {
+				t.Fatal(err)
+			}
+			if total%64 == 0 {
+				t.Fatalf("test needs a total that is not a multiple of 64, got %d", total)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if lastDone != total || lastTotal != total {
+				t.Fatalf("final progress = %d/%d, want %d/%d", lastDone, lastTotal, total, total)
+			}
+		})
 	}
 }

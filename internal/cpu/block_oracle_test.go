@@ -247,7 +247,7 @@ func TestBlockOracleRandomPrograms(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: read text: %v", tag, err)
 					}
-					fl := []byte{old[0] ^ byte(1 << rng.Intn(8))}
+					fl := []byte{old[0] ^ byte(1<<rng.Intn(8))}
 					a.mem.WriteRaw(off, fl)
 					b.mem.WriteRaw(off, fl)
 				case ev < 12:

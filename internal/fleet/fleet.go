@@ -188,7 +188,7 @@ type PoolStatus struct {
 // remote is the slice of supervisor.Supervisor a pool drives; a seam
 // for fleet tests to substitute scripted executors.
 type remote interface {
-	Do(campaign string, ordinal int) (*inject.Result, *inject.HarnessFault, error)
+	core.Remote
 	Close()
 }
 
@@ -371,65 +371,28 @@ func (f *Fleet) runShard(p *pool, shard queue.Shard, sink *dedupSink, renew func
 	if !ok {
 		return fmt.Errorf("fleet: unknown campaign key %q", shard.Campaign)
 	}
-	var (
-		next  = int64(shard.Start) - 1
-		abort atomic.Bool
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		rerr  error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if rerr == nil {
-			rerr = err
+	return core.Dispatch(shard.End-shard.Start, p.cfg.Workers, nil, func(_, k int) error {
+		ord := shard.Start + k
+		if f.alreadyDone(shard.Campaign, ord) {
+			return nil
 		}
-		mu.Unlock()
-		abort.Store(true)
-	}
-	workers := p.cfg.Workers
-	if n := shard.End - shard.Start; workers > n {
-		workers = n
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !abort.Load() {
-				ord := int(atomic.AddInt64(&next, 1))
-				if ord >= shard.End {
-					return
-				}
-				if f.alreadyDone(shard.Campaign, ord) {
-					continue
-				}
-				res, hf, err := p.rem.Do(shard.Campaign, ord)
-				if err != nil {
-					fail(err)
-					return
-				}
-				p.runs.Add(1)
-				if hf != nil {
-					if err := sink.Quarantine(c, p.index, ord, *hf); err != nil {
-						fail(err)
-						return
-					}
-				} else {
-					if res == nil {
-						fail(fmt.Errorf("fleet: %s/%d returned neither result nor fault", shard.Campaign, ord))
-						return
-					}
-					if err := sink.Put(c, p.index, ord, f.cfg.Totals[shard.Campaign], *res); err != nil {
-						fail(err)
-						return
-					}
-				}
-				renew()
-				f.maybeChaosPoolKill(p)
-			}
-		}()
-	}
-	wg.Wait()
-	return rerr
+		res, hf, err := core.RunRemote(p.rem, f.cfg.Metrics, p.index, shard.Campaign, ord)
+		if err != nil {
+			return err
+		}
+		p.runs.Add(1)
+		if hf != nil {
+			err = sink.Quarantine(c, p.index, ord, *hf)
+		} else {
+			err = sink.Put(c, p.index, ord, f.cfg.Totals[shard.Campaign], res)
+		}
+		if err != nil {
+			return err
+		}
+		renew()
+		f.maybeChaosPoolKill(p)
+		return nil
+	})
 }
 
 // maybeChaosPoolKill closes the pool's supervisor once the configured
