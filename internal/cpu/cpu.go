@@ -167,6 +167,14 @@ type CPU struct {
 	// changes on other pages.
 	bcache []*block
 	bstats BlockStats
+	// lazy is the deferred arithmetic-flag record of the block loop
+	// (flags.go); outside runBlocks it is always empty.
+	lazy lazyFlags
+	// buildOps and codeBuf are per-CPU scratch buffers for the block
+	// being built (its ops and code bytes) and, in codeBuf, the code
+	// bytes a block is revalidated against.
+	buildOps []op
+	codeBuf  [maxBlockInsts * ia32.MaxInstLen]byte
 
 	// noBulkString forces the per-element REP MOVS/STOS loop; test-only
 	// reference arm for the bulk-equivalence oracle (bulk_test.go).
@@ -201,6 +209,7 @@ func (c *CPU) Reset() {
 	c.Regs = [8]uint32{}
 	c.EIP = 0
 	c.Eflags = FlagIF
+	c.lazy = lazyFlags{}
 	c.Cycles = 0
 	c.DR = [4]uint32{}
 	c.DREnabled = [4]bool{}
@@ -233,6 +242,7 @@ func (c *CPU) RestoreState(s State) {
 	c.Regs = s.Regs
 	c.EIP = s.EIP
 	c.Eflags = s.Eflags
+	c.lazy = lazyFlags{}
 	c.Cycles = s.Cycles
 	c.DR = [4]uint32{}
 	c.DREnabled = [4]bool{}

@@ -175,3 +175,77 @@ func TestCaptureRestoreStateRoundTrip(t *testing.T) {
 		t.Fatal("RestoreState left debug registers armed")
 	}
 }
+
+// TestBlockRevalidatedByBytes: a code write on a block's page that
+// misses the block's own bytes keeps the block (no flush), while a
+// write inside a block, and the restore that rolls it back, each
+// flush it and execution sees the bytes of the moment.
+func TestBlockRevalidatedByBytes(t *testing.T) {
+	m := build(t, `
+f:
+	mov eax, 1
+	add eax, 2
+	ret
+g:
+	mov eax, 5
+	ret
+`)
+	g, _ := m.prog.FuncByName("g")
+	call := func(fn string, want uint32) cpu.BlockStats {
+		t.Helper()
+		if got := mustReturn(t, m, fn); got != want {
+			t.Fatalf("%s returned %d, want %d", fn, got, want)
+		}
+		return m.cpu.BlockStats()
+	}
+	call("g", 5)
+	before := call("f", 3)
+	snap := m.mem.TakeSnapshot()
+
+	// mov eax, imm32 is B8 imm32: g.Addr+1 is the immediate's low byte.
+	if err := m.mem.WriteRaw(g.Addr+1, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if st := call("f", 3); st.Flushes != before.Flushes || st.Misses != before.Misses {
+		t.Fatalf("f's block was not kept across a write to g: before %+v, after %+v", before, st)
+	}
+	if st := call("g", 7); st.Flushes != before.Flushes+1 {
+		t.Fatalf("g's changed block was not flushed: before %+v, after %+v", before, st)
+	}
+	m.mem.Restore(snap)
+	if st := call("g", 5); st.Flushes != before.Flushes+2 {
+		t.Fatalf("g's block was not flushed by the restore: before %+v, after %+v", before, st)
+	}
+	if st := call("f", 3); st.Flushes != before.Flushes+2 {
+		t.Fatalf("f's block was not kept across the restore: before %+v, after %+v", before, st)
+	}
+}
+
+// TestBlockCacheSamePageOffset: blocks at the same offset in different
+// pages do not evict each other from the block cache.
+func TestBlockCacheSamePageOffset(t *testing.T) {
+	m := mem.New()
+	m.Map(0x1000, 0x2000, mem.PermRX)
+	m.Map(0x8000, 0x1000, mem.PermRW)
+	c := cpu.New(m)
+	for i, addr := range []uint32{0x1100, 0x2100} { // mov eax, i+1; ret
+		if err := m.WriteRaw(addr, []byte{0xB8, byte(i + 1), 0, 0, 0, 0xC3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for i, addr := range []uint32{0x1100, 0x2100} {
+			c.Regs[ia32.ESP] = 0x8800
+			if err := m.Write32(0x8800, cpu.HostReturn); err != nil {
+				t.Fatal(err)
+			}
+			c.EIP = addr
+			if r, exc := c.Run(1000); r != cpu.StopReturned || c.Regs[ia32.EAX] != uint32(i+1) {
+				t.Fatalf("run at %#x: stop %v (%v), eax %d", addr, r, exc, c.Regs[ia32.EAX])
+			}
+		}
+	}
+	if st := c.BlockStats(); st.Misses != 2 {
+		t.Fatalf("blocks at the same page offset evicted each other: %+v", st)
+	}
+}

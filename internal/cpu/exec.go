@@ -155,16 +155,15 @@ func (c *CPU) exec(i *ia32.Inst) error {
 		if err != nil {
 			return err
 		}
-		cf := c.getFlag(FlagCF) // INC/DEC preserve CF
-		var res uint32
+		var res, bits uint32
 		if i.Op == ia32.OpInc {
 			res = dst + 1
-			c.flagsAdd(dst, 1, res, i.W8, 0)
+			bits = addBits(dst, 1, res, i.W8, 0)
 		} else {
 			res = dst - 1
-			c.flagsSub(dst, 1, res, i.W8, 0)
+			bits = subBits(dst, 1, res, i.W8, 0)
 		}
-		c.setFlag(FlagCF, cf)
+		c.setArith(bits&^FlagCF | c.Eflags&FlagCF) // INC/DEC preserve CF
 		if err := c.writeArg(i.Args[0], i.W8, res); err != nil {
 			return err
 		}

@@ -74,7 +74,9 @@ func (f *HarnessFault) Error() string {
 		return fmt.Sprintf("inject: harness fault (%s) at %s: %s", f.Kind, f.Desc, f.Msg)
 	}
 	if f.Func != "" {
-		return fmt.Sprintf("inject: harness fault (%s) at %s+%#x byte %d bit %d: %s",
+		// A legacy frame carries no function address: print the
+		// absolute instruction address, not a function offset.
+		return fmt.Sprintf("inject: harness fault (%s) at %s %#x byte %d bit %d: %s",
 			f.Kind, f.Func, f.InstAddr, f.ByteOff, f.Bit, f.Msg)
 	}
 	return fmt.Sprintf("inject: harness fault (%s): %s", f.Kind, f.Msg)

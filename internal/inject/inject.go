@@ -98,19 +98,21 @@ func (t Target) BitMask() byte {
 }
 
 // Describe renders the target in model-appropriate terms for logs,
-// harness faults, and quarantine frames.
+// harness faults, and quarantine frames. Instruction targets name the
+// instruction as function+offset.
 func (t Target) Describe() string {
+	off := t.InstAddr - t.Func.Addr
 	switch t.Model {
 	case ModelBurst:
 		return fmt.Sprintf("%s+%#x byte %d bits %d-%d (burst)",
-			t.Func.Name, t.InstAddr, t.ByteOff, t.Bit, int(t.Bit)+t.Width-1)
+			t.Func.Name, off, t.ByteOff, t.Bit, int(t.Bit)+t.Width-1)
 	case ModelRegflip:
 		if t.Reg > 0 {
 			return fmt.Sprintf("%s+%#x reg r%d bit %d (regflip)",
-				t.Func.Name, t.InstAddr, t.Reg-1, t.Bit)
+				t.Func.Name, off, t.Reg-1, t.Bit)
 		}
 		return fmt.Sprintf("%s+%#x data %#x bit %d (regflip)",
-			t.Func.Name, t.InstAddr, t.DataAddr, t.Bit)
+			t.Func.Name, off, t.DataAddr, t.Bit)
 	case ModelSyscall:
 		return fmt.Sprintf("syscall %s(%d) occurrence %d returns -%d",
 			t.SysName, t.SysNr, t.Occurrence, t.Errno)
@@ -119,7 +121,7 @@ func (t Target) Describe() string {
 			t.Block, t.DiskKind, t.FaultSeed)
 	}
 	return fmt.Sprintf("%s+%#x byte %d bit %d",
-		t.Func.Name, t.InstAddr, t.ByteOff, t.Bit)
+		t.Func.Name, off, t.ByteOff, t.Bit)
 }
 
 // Outcome classifies one injection run (paper Table 3).
