@@ -344,6 +344,52 @@ func benchInjectionRun(b *testing.B, opts inject.RunnerOptions) {
 	}
 }
 
+// BenchmarkHangRun measures one budget-burning idle hang: sub8 seed
+// 2003, ordinal A:17 (verify_area+0x5, byte 2, bit 6), which parks
+// every workload and idles with a 6-tick period until the watchdog
+// fires. The fastforward arm jumps that stretch and fails if no jump
+// happened, so a silently disengaged fast path is loud; the reference
+// arm simulates every cycle.
+func BenchmarkHangRun(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.MaxTargetsPerFunc = 8
+	s, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	targets, err := s.Targets(inject.CampaignA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t := targets[17]
+	if t.Func.Name != "verify_area" || t.InstAddr != t.Func.Addr+5 || t.ByteOff != 2 || t.Bit != 6 {
+		b.Fatalf("A:17 is %s+%#x byte %d bit %d, not verify_area+0x5 byte 2 bit 6",
+			t.Func.Name, t.InstAddr-t.Func.Addr, t.ByteOff, t.Bit)
+	}
+	r := s.Runner
+	for _, arm := range []struct {
+		name   string
+		golden uint64 // the machine's arming point; 0 never arms
+	}{{"fastforward", r.GoldenCycles}, {"reference", 0}} {
+		b.Run(arm.name, func(b *testing.B) {
+			r.M.GoldenCycles = arm.golden
+			for i := 0; i < b.N; i++ {
+				before := r.M.SkippedCycles()
+				res, hf := r.RunTarget(inject.CampaignA, t)
+				if hf != nil {
+					b.Fatal(hf)
+				}
+				if res.Outcome != inject.OutcomeHang {
+					b.Fatalf("outcome %v, want a hang", res.Outcome)
+				}
+				if arm.golden != 0 && r.M.SkippedCycles() == before {
+					b.Fatal("hang fast-forward did not jump")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblationAssertions quantifies the paper's §8 proposal
 // (strategic assertion placement detects errors before they
 // propagate): campaign C against the normal kernel vs. a build with

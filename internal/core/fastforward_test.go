@@ -1,0 +1,119 @@
+package core
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/inject"
+	"repro/internal/kernel"
+)
+
+// machineDiff names the first difference between two machines' final
+// states: the cycle counter, registers, EFLAGS, jiffies, the console,
+// and the bytes and permissions of every page either machine changed
+// since its snapshot. "" means identical.
+func machineDiff(ma, mb *kernel.Machine, sa, sb *kernel.Snapshot) string {
+	switch {
+	case ma.CPU.Cycles != mb.CPU.Cycles:
+		return "cycle counter"
+	case ma.CPU.EIP != mb.CPU.EIP || ma.CPU.Regs != mb.CPU.Regs || ma.CPU.Eflags != mb.CPU.Eflags:
+		return "registers"
+	case ma.ReadGlobal("jiffies") != mb.ReadGlobal("jiffies"):
+		return "jiffies"
+	case ma.Console.String() != mb.Console.String():
+		return "console"
+	}
+	ca, okA := ma.PagesChangedSince(sa)
+	cb, okB := mb.PagesChangedSince(sb)
+	if !okA || !okB {
+		return "page history"
+	}
+	for pn := range cb {
+		ca[pn] = struct{}{}
+	}
+	for pn := range ca {
+		addr := pn << kernel.PageShift
+		if ma.Mem.PermAt(addr) != mb.Mem.PermAt(addr) || !bytes.Equal(ma.Mem.RawPage(pn), mb.Mem.RawPage(pn)) {
+			return "page contents"
+		}
+	}
+	return ""
+}
+
+// TestFastForwardFinalStateOracle runs three studies twice: on the
+// study's runner, which fast-forwards hangs, and on a second runner
+// whose GoldenCycles is zero, so it simulates every cycle. After every
+// run the Results and the final machine states must be identical. A
+// ResultSet does not record a hang's cycle count, so the machine
+// comparison is what catches a jump that lands whole periods off. Each
+// study must also actually jump some of its hangs, so the oracle cannot
+// pass vacuously.
+func TestFastForwardFinalStateOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three studies, twice each")
+	}
+	cases := []struct {
+		model      string
+		maxTargets int
+		minJumped  int
+	}{
+		{"bitflip", 2, 15}, // every function at -max-targets 2: 379 runs, 32 hangs, 19 jumped
+		{"syscall", 0, 5},  // the full syscall target list at scale 1: 6 hangs, 6 jumped
+		{"disk", 2, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.model, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.FaultModel = tc.model
+			cfg.Campaigns = nil // the model's own campaigns
+			cfg.MaxTargetsPerFunc = tc.maxTargets
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff := s.Runner
+			ref, err := inject.NewRunnerWithOptions(s.ws, s.runnerOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.M.GoldenCycles = 0
+			// Each runner restores its own pristine snapshot before every
+			// run; these equal it, and the page comparison is relative to
+			// them.
+			sff, sref := ff.M.TakeSnapshot(), ref.M.TakeSnapshot()
+			runs, hangs, jumped := 0, 0, 0
+			for _, c := range s.Cfg.Campaigns {
+				targets, err := s.Targets(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, tg := range targets {
+					before := ff.M.SkippedCycles()
+					got, gf := ff.RunTarget(c, tg)
+					want, wf := ref.RunTarget(c, tg)
+					if gf != nil || wf != nil {
+						t.Fatalf("%v:%d: harness faults %v / %v", c, i, gf, wf)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v:%d (%s): results differ:\nfast-forward %+v\nreference    %+v", c, i, tg.Func.Name, got, want)
+					}
+					if d := machineDiff(ff.M, ref.M, sff, sref); d != "" {
+						t.Fatalf("%v:%d (%s, %v): final machine states differ in %s", c, i, tg.Func.Name, got.Outcome, d)
+					}
+					runs++
+					if got.Outcome == inject.OutcomeHang {
+						hangs++
+						if ff.M.SkippedCycles() > before {
+							jumped++
+						}
+					}
+				}
+			}
+			t.Logf("%d runs, %d hangs, %d jumped", runs, hangs, jumped)
+			if jumped < tc.minJumped {
+				t.Fatalf("only %d of %d hangs jumped, want at least %d", jumped, hangs, tc.minJumped)
+			}
+		})
+	}
+}

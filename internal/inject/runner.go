@@ -74,7 +74,9 @@ type Runner struct {
 
 	// Budget is the watchdog cycle budget per run.
 	Budget uint64
-	// GoldenCycles is the cycle cost of the fault-free run.
+	// GoldenCycles is the cycle counter when the fault-free run ends.
+	// It counts from power-on, so it includes the boot cycles (4,755)
+	// as well as the run's own cost.
 	GoldenCycles uint64
 	// GoldenWall is the wall-clock time the golden run took.
 	GoldenWall time.Duration
@@ -269,6 +271,7 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 		}
 	}
 	r.GoldenCycles = m.CPU.Cycles
+	m.GoldenCycles = r.GoldenCycles // arms hang fast-forward from here on
 	// Watchdog: generous multiple of the golden run (the paper's
 	// hardware watchdog rebooted hung systems).
 	r.Budget = r.GoldenCycles*5 + 2_000_000

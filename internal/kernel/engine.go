@@ -75,6 +75,9 @@ type engine struct {
 	trace    []string
 	ticks    uint64
 	ageSlot  int
+	// ff is the hang fast-forward state (fastforward.go), nil until
+	// the run arms.
+	ff *fastForward
 }
 
 // User is the handle a workload's Main uses to interact with the
@@ -110,6 +113,7 @@ func (m *Machine) runWorkloads(ws []Workload) *RunResult {
 	if !e.aborted {
 		e.loop()
 	}
+	e.ffStop()
 	e.cleanup()
 
 	if e.abortErr == nil {
@@ -228,12 +232,14 @@ func (e *engine) loop() {
 		}
 		if slot >= 0 && slot < NTasks {
 			if p := e.procs[slot]; p != nil && !p.done {
+				e.ffBreak()
 				p.resume <- struct{}{}
 				<-p.yield
 				continue
 			}
 		}
 		// Idle (init) or a slot without a live program: advance time.
+		e.ffIdle()
 		e.tick()
 		if e.aborted {
 			return
@@ -308,6 +314,9 @@ func (e *engine) tick() {
 		return
 	}
 	e.ticks++
+	if e.ff != nil && e.ff.probe != nil {
+		e.ffAging()
+	}
 	if e.ticks%64 == 0 {
 		e.agePages()
 	}

@@ -76,6 +76,17 @@ type Machine struct {
 	// the next one.
 	SyscallHook func(nr int, args [4]uint32) (ret int32, handled bool)
 
+	// GoldenCycles is the cycle counter at which the fault-free run
+	// ends. When nonzero, a run that is still idling past it arms hang
+	// fast-forward (fastforward.go). Zero, the default, never arms, so
+	// every cycle is simulated; results are identical either way.
+	GoldenCycles uint64
+
+	// proof, when non-nil, runs kernel code on the single-step loop
+	// under a fast-forward probe; skipped counts the cycles jumped.
+	proof   *ffProof
+	skipped uint64
+
 	faultDepth int
 	doPFAddr   uint32
 	syscallFn  uint32
@@ -426,7 +437,13 @@ func (m *Machine) callAddr(addr uint32, args []uint32) (uint32, error) {
 // the entry point for resuming a checkpointed call mid-execution.
 func (m *Machine) runToReturn() (uint32, error) {
 	for {
-		reason, exc := m.CPU.Run(m.remainingBudget())
+		var reason cpu.StopReason
+		var exc *cpu.Exception
+		if m.proof != nil {
+			reason, exc = m.proof.run(m.CPU, m.remainingBudget())
+		} else {
+			reason, exc = m.CPU.Run(m.remainingBudget())
+		}
 		switch reason {
 		case cpu.StopReturned:
 			return m.CPU.Regs[ia32.EAX], nil
@@ -502,6 +519,9 @@ func (m *Machine) handleUserFault(exc *cpu.Exception) (bool, error) {
 func (m *Machine) Syscall(nr int, args ...uint32) (int32, error) {
 	var a [4]uint32
 	copy(a[:], args)
+	if m.proof != nil {
+		m.proof.bad = true
+	}
 	if m.SyscallHook != nil {
 		if ret, handled := m.SyscallHook(nr, a); handled {
 			return ret, nil

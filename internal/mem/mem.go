@@ -167,6 +167,15 @@ type Memory struct {
 	// TakeSnapshot. snapGen numbers snapshots in creation order.
 	base    *Snapshot
 	snapGen uint64
+
+	// watch, when set, observes every access overlapping
+	// [watchAddr, watchAddr+watchLen) (see SetWatch); watchPN is the
+	// page holding that range, which is never cached in the TLB while
+	// the watch is set.
+	watch     func(addr, n uint32, acc Access)
+	watchAddr uint32
+	watchLen  uint32
+	watchPN   uint32
 }
 
 // New returns an empty address space.
@@ -283,8 +292,10 @@ func (m *Memory) PermAt(addr uint32) Perm {
 }
 
 // pageFor is the TLB-miss path: the page-table walk, the permission
-// check, and the TLB fill.
-func (m *Memory) pageFor(addr uint32, acc Access) (*page, error) {
+// check, and the TLB fill. [lo, lo+n) is the range the access covers
+// (it may start on the previous page for a straddling write), reported
+// to the watch when it overlaps the watched range.
+func (m *Memory) pageFor(addr uint32, acc Access, lo, n uint32) (*page, error) {
 	pn := addr >> pageShift
 	p, ok := m.pages[pn]
 	if !ok {
@@ -306,6 +317,11 @@ func (m *Memory) pageFor(addr uint32, acc Access) (*page, error) {
 		// Copy-on-write: snapshot-owned pages are immutable. The write
 		// TLB way therefore only ever holds private pages.
 		p = m.clonePage(pn, p)
+	}
+	if m.watch != nil && pn == m.watchPN {
+		// Never cached: every access to the page comes back here.
+		m.observe(lo, n, acc)
+		return p, nil
 	}
 	e := &m.tlb[acc-1][pn&tlbMask]
 	e.pn, e.gen, e.p = pn, m.tlbGen, p
@@ -329,14 +345,38 @@ func (m *Memory) clonePage(pn uint32, p *page) *page {
 }
 
 // lookup translates addr for the given access kind, hitting the TLB
-// when possible.
-func (m *Memory) lookup(addr uint32, acc Access) (*page, error) {
+// when possible; lo and n are as for pageFor.
+func (m *Memory) lookup(addr uint32, acc Access, lo, n uint32) (*page, error) {
 	pn := addr >> pageShift
 	e := &m.tlb[acc-1][pn&tlbMask]
 	if e.gen == m.tlbGen && e.pn == pn {
 		return e.p, nil
 	}
-	return m.pageFor(addr, acc)
+	return m.pageFor(addr, acc, lo, n)
+}
+
+// SetWatch makes fn observe every access that overlaps [addr, addr+n):
+// CPU-visible reads, writes and fetches as well as the raw host-side
+// accessors. The range must lie within one page. fn receives the
+// whole access range, is called before the access takes effect, and
+// must not access memory itself. While the watch is set its page
+// bypasses the TLB, so every access to it takes the slow path; with no
+// watch set, nothing is checked on any hot path.
+func (m *Memory) SetWatch(addr, n uint32, fn func(addr, n uint32, acc Access)) {
+	m.watch, m.watchAddr, m.watchLen, m.watchPN = fn, addr, n, addr>>pageShift
+	m.flushTLB()
+}
+
+// ClearWatch removes the watch set by SetWatch.
+func (m *Memory) ClearWatch() { m.watch = nil }
+
+// observe reports [lo, lo+n) to the watch when it overlaps the watched
+// range.
+func (m *Memory) observe(lo, n uint32, acc Access) {
+	if uint64(lo) < uint64(m.watchAddr)+uint64(m.watchLen) &&
+		uint64(m.watchAddr) < uint64(lo)+uint64(n) {
+		m.watch(lo, n, acc)
+	}
 }
 
 // tlbHit is the inlinable TLB probe for the single-page fast paths:
@@ -371,7 +411,7 @@ func (m *Memory) Read8(addr uint32) (byte, error) {
 	p := m.tlbHit(0, addr>>pageShift)
 	if p == nil {
 		var err error
-		p, err = m.pageFor(addr, AccessRead)
+		p, err = m.pageFor(addr, AccessRead, addr, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -386,7 +426,7 @@ func (m *Memory) Read16(addr uint32) (uint16, error) {
 		p := m.tlbHit(0, addr>>pageShift)
 		if p == nil {
 			var err error
-			p, err = m.pageFor(addr, AccessRead)
+			p, err = m.pageFor(addr, AccessRead, addr, 2)
 			if err != nil {
 				return 0, err
 			}
@@ -412,7 +452,7 @@ func (m *Memory) Read32(addr uint32) (uint32, error) {
 		p := m.tlbHit(0, addr>>pageShift)
 		if p == nil {
 			var err error
-			p, err = m.pageFor(addr, AccessRead)
+			p, err = m.pageFor(addr, AccessRead, addr, 4)
 			if err != nil {
 				return 0, err
 			}
@@ -436,7 +476,7 @@ func (m *Memory) Write8(addr uint32, v byte) error {
 	p := m.tlbHit(1, addr>>pageShift)
 	if p == nil {
 		var err error
-		p, err = m.pageFor(addr, AccessWrite)
+		p, err = m.pageFor(addr, AccessWrite, addr, 1)
 		if err != nil {
 			return err
 		}
@@ -459,7 +499,7 @@ func (m *Memory) Write16(addr uint32, v uint16) error {
 		p := m.tlbHit(1, addr>>pageShift)
 		if p == nil {
 			var err error
-			p, err = m.pageFor(addr, AccessWrite)
+			p, err = m.pageFor(addr, AccessWrite, addr, 2)
 			if err != nil {
 				return err
 			}
@@ -471,11 +511,11 @@ func (m *Memory) Write16(addr uint32, v uint16) error {
 		p.data[off+1] = byte(v >> 8)
 		return nil
 	}
-	lo, err := m.lookup(addr, AccessWrite)
+	lo, err := m.lookup(addr, AccessWrite, addr, 2)
 	if err != nil {
 		return err
 	}
-	hi, err := m.lookup(addr+1, AccessWrite)
+	hi, err := m.lookup(addr+1, AccessWrite, addr, 2)
 	if err != nil {
 		return err
 	}
@@ -494,7 +534,7 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 		p := m.tlbHit(1, addr>>pageShift)
 		if p == nil {
 			var err error
-			p, err = m.pageFor(addr, AccessWrite)
+			p, err = m.pageFor(addr, AccessWrite, addr, 4)
 			if err != nil {
 				return err
 			}
@@ -507,11 +547,11 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 		return nil
 	}
 	// Straddling write: probe both pages before committing any byte.
-	lo, err := m.lookup(addr, AccessWrite)
+	lo, err := m.lookup(addr, AccessWrite, addr, 4)
 	if err != nil {
 		return err
 	}
-	hi, err := m.lookup(addr+3, AccessWrite)
+	hi, err := m.lookup(addr+3, AccessWrite, addr, 4)
 	if err != nil {
 		return err
 	}
@@ -542,7 +582,7 @@ func (m *Memory) Fetch(addr uint32, buf []byte) (int, error) {
 		p := m.tlbHit(2, addr>>pageShift)
 		if p == nil {
 			var err error
-			p, err = m.pageFor(addr, AccessExec)
+			p, err = m.pageFor(addr, AccessExec, addr, uint32(len(buf)))
 			if err != nil {
 				return 0, err
 			}
@@ -551,14 +591,15 @@ func (m *Memory) Fetch(addr uint32, buf []byte) (int, error) {
 	}
 	n := 0
 	for n < len(buf) {
-		p, err := m.lookup(addr+uint32(n), AccessExec)
+		a := addr + uint32(n)
+		p, err := m.lookup(a, AccessExec, a, uint32(len(buf)-n))
 		if err != nil {
 			if n == 0 {
 				return 0, err
 			}
 			return n, nil
 		}
-		o := (addr + uint32(n)) & (PageSize - 1)
+		o := a & (PageSize - 1)
 		c := copy(buf[n:], p.data[o:])
 		n += c
 	}
@@ -575,7 +616,7 @@ func (m *Memory) ReadSpan(addr, n uint32) []byte {
 	if off+n > PageSize {
 		return nil
 	}
-	p, err := m.lookup(addr, AccessRead)
+	p, err := m.lookup(addr, AccessRead, addr, n)
 	if err != nil {
 		return nil
 	}
@@ -593,7 +634,7 @@ func (m *Memory) WriteSpan(addr, n uint32) []byte {
 	if off+n > PageSize {
 		return nil
 	}
-	p, err := m.lookup(addr, AccessWrite)
+	p, err := m.lookup(addr, AccessWrite, addr, n)
 	if err != nil {
 		return nil
 	}
@@ -611,7 +652,7 @@ func (m *Memory) WriteSpan(addr, n uint32) []byte {
 func (m *Memory) ReadBytes(addr, size uint32) ([]byte, error) {
 	out := make([]byte, size)
 	for i := uint32(0); i < size; {
-		p, err := m.lookup(addr+i, AccessRead)
+		p, err := m.lookup(addr+i, AccessRead, addr+i, size-i)
 		if err != nil {
 			return nil, err
 		}
@@ -628,14 +669,14 @@ func (m *Memory) ReadBytes(addr, size uint32) ([]byte, error) {
 func (m *Memory) WriteBytes(addr uint32, b []byte) error {
 	for i := 0; i < len(b); {
 		a := addr + uint32(i)
-		if _, err := m.lookup(a, AccessWrite); err != nil {
+		if _, err := m.lookup(a, AccessWrite, a, uint32(len(b)-i)); err != nil {
 			return err
 		}
 		i += int(PageSize - (a & (PageSize - 1)))
 	}
 	for i := 0; i < len(b); {
 		a := addr + uint32(i)
-		p, err := m.lookup(a, AccessWrite)
+		p, err := m.lookup(a, AccessWrite, a, uint32(len(b)-i))
 		if err != nil {
 			return err
 		}
@@ -657,6 +698,9 @@ func (m *Memory) WriteRaw(addr uint32, b []byte) error {
 			return &Fault{Addr: a, Access: AccessWrite, NotPresent: true}
 		}
 		i += int(PageSize - (a & (PageSize - 1)))
+	}
+	if m.watch != nil {
+		m.observe(addr, uint32(len(b)), AccessWrite)
 	}
 	for i := 0; i < len(b); {
 		a := addr + uint32(i)
@@ -686,6 +730,9 @@ func (m *Memory) ReadRaw(addr, size uint32) ([]byte, error) {
 // that read large regions (the ramdisk) once per injection run and
 // would otherwise pay a fresh multi-megabyte allocation each time.
 func (m *Memory) ReadRawInto(addr uint32, out []byte) error {
+	if m.watch != nil {
+		m.observe(addr, uint32(len(out)), AccessRead)
+	}
 	for i := 0; i < len(out); {
 		a := addr + uint32(i)
 		p, ok := m.pages[a>>pageShift]
@@ -906,11 +953,19 @@ func (m *Memory) PagesChangedSince(s *Snapshot) (map[uint32]struct{}, bool) {
 	return nil, false
 }
 
+// DirtyCount returns the number of pages whose content, permissions or
+// existence may differ from the most recent snapshot: the size of the
+// set PagesChangedSince reports for it, without building that set.
+func (m *Memory) DirtyCount() int { return len(m.dirty) }
+
 // RawPage returns the backing bytes of page pn ignoring permissions,
 // or nil if the page is unmapped. The slice aliases live page storage:
 // callers must treat it as read-only and must not hold it across
 // writes, snapshots or restores.
 func (m *Memory) RawPage(pn uint32) []byte {
+	if m.watch != nil {
+		m.observe(pn<<pageShift, PageSize, AccessRead)
+	}
 	if p, ok := m.pages[pn]; ok {
 		return p.data
 	}

@@ -191,3 +191,62 @@ func TestPermAt(t *testing.T) {
 		t.Fatal("Protect did not apply")
 	}
 }
+
+// TestWatch: every access overlapping the watched range reports its
+// whole range, repeated accesses keep reporting (the page never enters
+// the TLB), neighbours stay silent, and ClearWatch ends it.
+func TestWatch(t *testing.T) {
+	m := New()
+	m.Map(0x1000, 0x2000, PermRW)
+	type hit struct {
+		addr, n uint32
+		acc     Access
+	}
+	var hits []hit
+	m.SetWatch(0x2000, 4, func(addr, n uint32, acc Access) { hits = append(hits, hit{addr, n, acc}) })
+	expect := func(what string, want ...hit) {
+		t.Helper()
+		if len(hits) != len(want) {
+			t.Fatalf("%s: hits %v, want %v", what, hits, want)
+		}
+		for i := range want {
+			if hits[i] != want[i] {
+				t.Fatalf("%s: hits %v, want %v", what, hits, want)
+			}
+		}
+		hits = nil
+	}
+	if err := m.Write32(0x2000, 7); err != nil {
+		t.Fatal(err)
+	}
+	expect("write", hit{0x2000, 4, AccessWrite})
+	for i := 0; i < 2; i++ {
+		if v, err := m.Read32(0x2000); err != nil || v != 7 {
+			t.Fatalf("Read32 = %d, %v", v, err)
+		}
+		expect("repeated read", hit{0x2000, 4, AccessRead})
+	}
+	m.Read32(0x2004)
+	m.Read8(0x1FFF)
+	m.Write32(0x2FFC, 1)
+	expect("neighbours")
+	m.Read8(0x2003)
+	expect("last byte", hit{0x2003, 1, AccessRead})
+	// A straddling write reports its whole range from the watched page.
+	m.Write32(0x1FFE, 0x11223344)
+	expect("straddle", hit{0x1FFE, 4, AccessWrite})
+	m.ReadBytes(0x1FF0, 0x20)
+	expect("ReadBytes", hit{0x2000, 0x10, AccessRead})
+	m.WriteBytes(0x2002, []byte{1, 2})
+	expect("WriteBytes probe and write", hit{0x2002, 2, AccessWrite}, hit{0x2002, 2, AccessWrite})
+	m.ReadSpan(0x2000, 8)
+	expect("ReadSpan", hit{0x2000, 8, AccessRead})
+	m.ReadRaw(0x2001, 1)
+	m.WriteRaw(0x2002, []byte{9})
+	m.RawPage(2)
+	expect("raw", hit{0x2001, 1, AccessRead}, hit{0x2002, 1, AccessWrite}, hit{0x2000, PageSize, AccessRead})
+	m.ClearWatch()
+	m.Read32(0x2000)
+	m.Write32(0x2000, 1)
+	expect("cleared")
+}
