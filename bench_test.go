@@ -282,7 +282,7 @@ func BenchmarkTable7CaseStudies(b *testing.B) {
 // after the first from the cached never-activated entry and the
 // benchmark would stop measuring a machine run at all.
 func BenchmarkGoldenRun(b *testing.B) {
-	runner, err := inject.NewRunnerWithOptions(unixbench.Suite(1), inject.RunnerOptions{NoCheckpoint: true})
+	runner, err := inject.NewRunnerWithOptions(unixbench.Suite(1), inject.RunnerOptions{EngineOptions: inject.EngineOptions{NoCheckpoint: true}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func BenchmarkInjectionRun(b *testing.B) {
 // checkpointing off: every iteration restores the pristine snapshot
 // and runs from boot state to outcome (the pre-checkpoint baseline).
 func BenchmarkInjectionRunFullReplay(b *testing.B) {
-	benchInjectionRun(b, inject.RunnerOptions{NoCheckpoint: true})
+	benchInjectionRun(b, inject.RunnerOptions{EngineOptions: inject.EngineOptions{NoCheckpoint: true}})
 }
 
 func benchInjectionRun(b *testing.B, opts inject.RunnerOptions) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/frame"
 	"repro/internal/inject"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -347,7 +349,7 @@ func (c *campaign) execute(plan poolPlan) error {
 	q.Metrics = c.metrics
 	q.SetLeaseTimeout(plan.leaseTimeout)
 
-	jw, doneMap, err := c.openJournal()
+	jw, doneMap, err := c.openJournal(q)
 	if err != nil {
 		return err
 	}
@@ -414,20 +416,15 @@ func (c *campaign) execute(plan poolPlan) error {
 // openQueue opens or creates the campaign's durable shard queue.
 func (c *campaign) openQueue(shards []queue.Shard) (*queue.Queue, error) {
 	path := filepath.Join(c.dir, queueFile)
-	if _, err := os.Stat(path); err != nil {
+	q, err := queue.Open(path, c.spec, shards)
+	if errors.Is(err, fs.ErrNotExist) {
 		return queue.Create(path, c.spec, shards)
 	}
-	q, err := queue.Open(path, c.spec, shards)
-	var ce *queue.CorruptError
-	if errors.As(err, &ce) {
-		// A queue torn mid-Create is unreadable but also unacted-on:
-		// with no journal on disk, no result depends on it — recreate.
-		// With a journal present, refuse: corruption after real work
-		// needs a human.
-		if _, jerr := os.Stat(filepath.Join(c.dir, journalFile)); os.IsNotExist(jerr) {
-			if rerr := os.Remove(path); rerr != nil {
-				return nil, rerr
-			}
+	if errors.Is(err, frame.ErrTornCreate) {
+		// A queue torn inside Create was never acted on: with no
+		// journal on disk, no result depends on it, so recreate it.
+		// With a journal present, refuse: that needs a human.
+		if _, jerr := os.Stat(filepath.Join(c.dir, journalFile)); errors.Is(jerr, fs.ErrNotExist) {
 			return queue.Create(path, c.spec, shards)
 		}
 	}
@@ -436,9 +433,12 @@ func (c *campaign) openQueue(shards []queue.Shard) (*queue.Queue, error) {
 
 // openJournal opens or creates the merged journal and derives the
 // already-accounted ordinal map a resumed fleet must skip.
-func (c *campaign) openJournal() (*journal.Writer, map[string]map[int]bool, error) {
+func (c *campaign) openJournal(q *queue.Queue) (*journal.Writer, map[string]map[int]bool, error) {
 	path := filepath.Join(c.dir, journalFile)
-	if _, err := os.Stat(path); err != nil {
+	jw, prior, err := journal.OpenAppend(path)
+	// A journal torn inside Create holds no result, and while no shard
+	// is marked done the queue promises none: start it afresh.
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, frame.ErrTornCreate) && q.Stats().Done == 0 {
 		jw, err := journal.Create(path, journal.Header{
 			Version:             journal.Version,
 			Seed:                c.spec.Seed,
@@ -451,7 +451,6 @@ func (c *campaign) openJournal() (*journal.Writer, map[string]map[int]bool, erro
 		})
 		return jw, nil, err
 	}
-	jw, prior, err := journal.OpenAppend(path)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -183,8 +183,7 @@ func run(args []string) error {
 	cfg.DisableAssertions = *noAsserts
 	cfg.Workers = *workers
 	cfg.RunTimeout = *runTimeout
-	cfg.NoCheckpoint = !*checkpoint
-	cfg.NoBlocks = !*blocks
+	cfg.EngineOptions = inject.EngineOptions{NoCheckpoint: !*checkpoint, NoBlocks: !*blocks}
 	cfg.MaxRetries = *maxRetries
 	if *maxRetries <= 0 {
 		cfg.MaxRetries = -1 // quarantine on the first fault
@@ -346,8 +345,7 @@ func run(args []string) error {
 				FaultModel:          inject.ModelTag(model.Name()),
 				RunTimeout:          cfg.RunTimeout,
 				MaxRetries:          cfg.MaxRetries,
-				NoCheckpoint:        cfg.NoCheckpoint,
-				NoBlocks:            cfg.NoBlocks,
+				EngineOptions:       cfg.EngineOptions,
 			},
 			GoldenFP:         s.Runner.GoldenFingerprint(),
 			GoldenDisk:       fmt.Sprintf("%x", s.Runner.GoldenDiskHash()),

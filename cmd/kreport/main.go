@@ -117,12 +117,8 @@ func runVerify(path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	format := "kjnl2 (CRC32C frames)"
-	if rep.Legacy {
-		format = "kjnl1 (legacy, no checksums)"
-	}
 	fmt.Fprintf(w, "journal %s\n", rep.Path)
-	fmt.Fprintf(w, "  format:      %s\n", format)
+	fmt.Fprintf(w, "  format:      kjnl2 (CRC32C frames)\n")
 	fmt.Fprintf(w, "  frames:      %d intact\n", rep.Frames)
 	fmt.Fprintf(w, "  results:     %d injections", rep.Results)
 	if rep.Quarantined > 0 {

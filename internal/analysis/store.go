@@ -10,10 +10,8 @@ import (
 	"repro/internal/inject"
 )
 
-// SchemaVersion is the current on-disk result-set schema. Version 2
-// added Result.LatencyValid; files without a Version field predate it
-// and are upgraded on load. Version 3 added Quarantined (absent in
-// older files, meaning no targets were quarantined).
+// SchemaVersion is the on-disk result-set schema; Load reads no other.
+// Version 2 added Result.LatencyValid and version 3 added Quarantined.
 const SchemaVersion = 3
 
 // ResultSet is a persisted collection of injection results, keyed by
@@ -117,7 +115,8 @@ func (rs *ResultSet) Save(path string) error {
 	return nil
 }
 
-// Load reads a result set saved by Save.
+// Load reads a result set saved by Save. A set of any schema version
+// but SchemaVersion is refused.
 func Load(path string) (*ResultSet, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -133,26 +132,8 @@ func Load(path string) (*ResultSet, error) {
 	if err := json.NewDecoder(zr).Decode(&rs); err != nil {
 		return nil, fmt.Errorf("analysis: decode: %w", err)
 	}
-	if rs.Version < SchemaVersion {
-		rs.upgrade()
+	if rs.Version != SchemaVersion {
+		return nil, fmt.Errorf("analysis: %s: result-set schema version %d, want %d", path, rs.Version, SchemaVersion)
 	}
 	return &rs, nil
-}
-
-// upgrade migrates an older result set in place. Pre-version-2 files
-// predate Result.LatencyValid; their crash records were only stored
-// when the latency subtraction was well-defined, so every crash's
-// latency is trusted. Version 2 -> 3 needs no data change: a missing
-// Quarantined field means nothing was quarantined.
-func (rs *ResultSet) upgrade() {
-	if rs.Version < 2 {
-		for _, results := range rs.Results {
-			for i := range results {
-				if results[i].Outcome == inject.OutcomeCrash {
-					results[i].LatencyValid = true
-				}
-			}
-		}
-	}
-	rs.Version = SchemaVersion
 }

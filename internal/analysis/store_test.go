@@ -3,7 +3,9 @@ package analysis
 import (
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/dump"
@@ -43,56 +45,36 @@ func TestSaveLoadRoundTripLatencyValid(t *testing.T) {
 	}
 }
 
-// Files written before schema version 2 have no Version or
-// LatencyValid fields; their crash latencies were always trusted, so
-// loading must mark every crash LatencyValid.
-func TestLoadOldSchema(t *testing.T) {
-	// Old schema: same shape minus Version (and results without
-	// LatencyValid, which json simply leaves absent).
-	old := struct {
-		Seed    int64
-		Scale   int
-		Results map[string][]inject.Result
-	}{
-		Seed:  2003,
-		Scale: 1,
-		Results: map[string][]inject.Result{
-			"C": {
-				mkResult("mm", "rmqueue", inject.CampaignC, inject.OutcomeCrash, dump.CauseInvalidOpcode, 3, "mm"),
-				mkResult("mm", "rmqueue", inject.CampaignC, inject.OutcomeNotManifested, 0, 0, ""),
-			},
-		},
-	}
-	old.Results["C"][0].LatencyValid = false // field absent in old files
+// Load reads only the current schema. A file without a Version field
+// (version 0) predates Result.LatencyValid, and a newer schema may
+// carry fields this build would drop, so both are refused.
+func TestLoadSchemaVersion(t *testing.T) {
+	crash := mkResult("mm", "rmqueue", inject.CampaignC, inject.OutcomeCrash, dump.CauseInvalidOpcode, 3, "mm")
+	for _, version := range []int{0, SchemaVersion, SchemaVersion + 1} {
+		path := t.TempDir() + "/rs.json.gz"
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zw := gzip.NewWriter(f)
+		rs := ResultSet{Version: version, Seed: 2003, Scale: 1, Results: map[string][]inject.Result{"C": {crash}}}
+		if err := json.NewEncoder(zw).Encode(&rs); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 
-	path := t.TempDir() + "/old.json.gz"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zw := gzip.NewWriter(f)
-	if err := json.NewEncoder(zw).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	rs, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Version != SchemaVersion {
-		t.Fatalf("upgraded Version = %d", rs.Version)
-	}
-	if !rs.Results["C"][0].LatencyValid {
-		t.Fatal("old-schema crash not marked LatencyValid on load")
-	}
-	if rs.Results["C"][1].LatencyValid {
-		t.Fatal("non-crash result marked LatencyValid")
-	}
-	if d := Latency(rs.Results["C"]); d["all"].Total != 1 {
-		t.Fatalf("latency total = %d", d["all"].Total)
+		got, err := Load(path)
+		if version != SchemaVersion {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+				t.Fatalf("schema version %d: Load returned %v, want an error naming the version", version, err)
+			}
+			continue
+		}
+		if err != nil || len(got.Results["C"]) != 1 || !got.Results["C"][0].LatencyValid {
+			t.Fatalf("schema version %d: Load returned %+v, %v", version, got, err)
+		}
 	}
 }

@@ -115,14 +115,8 @@ type Config struct {
 	// RunTimeout overrides the per-run wall-clock watchdog deadline
 	// (0 = derive from the golden run's wall time).
 	RunTimeout time.Duration
-	// NoCheckpoint disables checkpoint-at-breakpoint reuse in the
-	// runners, running every target from the pristine boot snapshot.
-	// Results are identical either way.
-	NoCheckpoint bool
-	// NoBlocks disables the CPU's superblock trace-execution engine in
-	// the runners, forcing per-instruction interpretation. Results are
-	// identical either way.
-	NoBlocks bool
+	// EngineOptions are passed unchanged to every runner.
+	inject.EngineOptions
 	// Cancel, when set, is polled by every worker before it claims a
 	// target; once true the campaign stops and RunCampaign returns
 	// ErrCancelled (graceful shutdown).
@@ -330,9 +324,8 @@ func (s *Study) runnerOptions() inject.RunnerOptions {
 	return inject.RunnerOptions{
 		DisableAssertions: s.Cfg.DisableAssertions,
 		RunTimeout:        s.Cfg.RunTimeout,
-		NoCheckpoint:      s.Cfg.NoCheckpoint,
-		NoBlocks:          s.Cfg.NoBlocks,
 		Model:             s.Model,
+		EngineOptions:     s.Cfg.EngineOptions,
 	}
 }
 

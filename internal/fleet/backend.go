@@ -39,8 +39,7 @@ func (b *Backend) Boot(spec wire.StudySpec) (wire.Ready, error) {
 	cfg.DisableAssertions = spec.DisableAssertions
 	cfg.FaultModel = spec.FaultModel // "" = bitflip (inject.ModelTag)
 	cfg.RunTimeout = spec.RunTimeout
-	cfg.NoCheckpoint = spec.NoCheckpoint
-	cfg.NoBlocks = spec.NoBlocks
+	cfg.EngineOptions = spec.EngineOptions
 	cfg.MaxRetries = spec.MaxRetries
 	cs, err := analysis.ParseCampaigns(spec.Campaigns)
 	if err != nil {

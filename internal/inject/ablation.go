@@ -46,6 +46,19 @@ func DisableAssertions(m *kernel.Machine) (int, error) {
 	return patched, nil
 }
 
+// EngineOptions select how a runner executes targets. Results are
+// identical under every setting; the off settings are escape hatches
+// and the reference arms for parity testing. The zero value is the
+// fast engine, and the JSON form is part of the worker hello frame.
+type EngineOptions struct {
+	// NoCheckpoint disables checkpoint-at-breakpoint reuse, forcing
+	// every target to run from the pristine boot snapshot.
+	NoCheckpoint bool
+	// NoBlocks disables the CPU's superblock trace-execution engine,
+	// forcing per-instruction interpretation.
+	NoBlocks bool `json:",omitempty"`
+}
+
 // RunnerOptions configure NewRunnerWithOptions.
 type RunnerOptions struct {
 	// DisableAssertions strips every kernel BUG()/ud2 assertion before
@@ -55,20 +68,12 @@ type RunnerOptions struct {
 	// used by SafeRunTarget (0 = derive a generous default from the
 	// golden run's wall time).
 	RunTimeout time.Duration
-	// NoCheckpoint disables checkpoint-at-breakpoint reuse, forcing
-	// every target to run from the pristine boot snapshot. Results are
-	// identical either way; this is the escape hatch and the reference
-	// arm for parity testing.
-	NoCheckpoint bool
 	// Model is the fault model the runner executes targets for (nil =
 	// bitflip). Models whose activation is not a PC breakpoint disable
 	// checkpointing with a typed reason (Runner.CheckpointDisabled).
 	Model FaultModel
-	// NoBlocks disables the CPU's superblock trace-execution engine,
-	// forcing per-instruction interpretation. Results are identical
-	// either way; this is the escape hatch and the reference arm for
-	// parity testing.
-	NoBlocks bool
+	// EngineOptions select the execution engine.
+	EngineOptions
 }
 
 // NewRunnerWithOptions is NewRunner with build options applied to the

@@ -16,7 +16,7 @@ func newRunnersT(t *testing.T) (ckpt, ref *Runner) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	ref, err = NewRunnerWithOptions(unixbench.Suite(1), RunnerOptions{NoCheckpoint: true})
+	ref, err = NewRunnerWithOptions(unixbench.Suite(1), RunnerOptions{EngineOptions: EngineOptions{NoCheckpoint: true}})
 	if err != nil {
 		t.Fatalf("NewRunnerWithOptions: %v", err)
 	}

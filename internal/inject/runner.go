@@ -185,6 +185,9 @@ func (r *Runner) BlockStatsDelta() cpu.BlockStats {
 	}
 }
 
+// Checkpointing reports whether checkpoint-at-breakpoint reuse is on.
+func (r *Runner) Checkpointing() bool { return r.checkpointing }
+
 // CheckpointDisabled reports whether checkpoint-at-breakpoint reuse is
 // off because the fault model's activation is not PC-keyed, and the
 // model's typed reason. It returns false for a plain -checkpoint=false

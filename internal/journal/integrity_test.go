@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -205,99 +204,11 @@ func TestVerifyCleanJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Legacy || rep.Truncated || rep.Corrupt != nil || !rep.Complete || !rep.Trailer {
+	if rep.Truncated || rep.Corrupt != nil || !rep.Complete || !rep.Trailer {
 		t.Fatalf("verify report: %+v", rep)
 	}
 	if rep.Results != 4 || rep.Quarantined != 1 || rep.Campaigns["C"] != 5 {
 		t.Fatalf("verify counts: %+v", rep)
-	}
-}
-
-// writeLegacyJournal hand-builds a checksum-free "kjnl1" journal, as a
-// pre-CRC kinject would have written it.
-func writeLegacyJournal(t *testing.T, path string, nResults int) {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(magicLegacy)
-	h := testHeader()
-	recs := []*record{{Kind: kindHeader, Header: &h},
-		{Kind: kindCampaign, Campaign: "C", Total: nResults}}
-	for i := 0; i < nResults; i++ {
-		res := mkResult(i)
-		recs = append(recs, &record{Kind: kindResult, Campaign: "C", Ordinal: i, Result: &res})
-	}
-	for _, rec := range recs {
-		frame, err := encodeFrame(rec, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(frame)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Legacy "kjnl1" journals stay readable and resumable; appended frames
-// keep the legacy format (a single file never mixes frame formats).
-func TestLegacyFormatCompat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy")
-	writeLegacyJournal(t, path, 3)
-
-	if !Sniff(path) {
-		t.Fatal("legacy journal not sniffed")
-	}
-	j, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j.Legacy || len(j.Entries["C"]) != 3 {
-		t.Fatalf("legacy read: legacy=%v entries=%d", j.Legacy, len(j.Entries["C"]))
-	}
-	rep, err := Verify(path)
-	if err != nil || !rep.Legacy || rep.Results != 3 {
-		t.Fatalf("legacy verify: rep=%+v err=%v", rep, err)
-	}
-
-	w, j2, err := OpenAppend(path)
-	if err != nil {
-		t.Fatalf("legacy resume: %v", err)
-	}
-	if !w.legacy || j2.CompletedCount() != 3 {
-		t.Fatalf("legacy resume writer: legacy=%v completed=%d", w.legacy, j2.CompletedCount())
-	}
-	for i := 3; i < 5; i++ {
-		if err := w.Put(inject.CampaignC, 0, i, 5, mkResult(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-	j3, err := Read(path)
-	if err != nil {
-		t.Fatalf("legacy after append: %v", err)
-	}
-	if !j3.Legacy || len(j3.Completed()["C"]) != 5 {
-		t.Fatalf("legacy after append: legacy=%v completed=%d", j3.Legacy, len(j3.Completed()["C"]))
-	}
-
-	// Legacy journals keep the old lenient tail handling: damage reads
-	// as a truncation, never as an undetected wrong record.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x10
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j4, err := Read(path)
-	if err != nil {
-		t.Fatalf("legacy flipped read: %v", err)
-	}
-	if !j4.Truncated {
-		t.Fatal("legacy mid-file damage neither truncated nor erred")
 	}
 }
 
@@ -316,11 +227,7 @@ func TestNewJournalsUseV3Magic(t *testing.T) {
 	if string(head) != magic {
 		t.Fatalf("new journal magic %q, want %q", head, magic)
 	}
-	j, err := Read(path)
-	if err != nil {
+	if _, err := Read(path); err != nil {
 		t.Fatal(err)
-	}
-	if j.Legacy {
-		t.Fatal("new journal flagged legacy")
 	}
 }

@@ -4,11 +4,8 @@
 // worker failure) loses at most the unflushed tail instead of hours of
 // finished experiments.
 //
-// On disk a journal is a magic string followed by framed records; each
-// frame is a 4-byte little-endian length, one gzip member holding a
-// single JSON record, and a 4-byte little-endian CRC32C of the
-// compressed payload (format "kjnl2"; the legacy "kjnl1" format had no
-// checksum and is still readable and resumable). Record kinds:
+// On disk a journal is the magic "kjnl2" followed by internal/frame
+// frames, each holding one gzip-JSON record. Record kinds:
 //
 //	header      study configuration (seed, scale, campaigns, caps)
 //	campaign    campaign start: key and total target count
@@ -19,15 +16,12 @@
 //	            worker shard, written with every flushed batch
 //	trailer     final metrics snapshot on clean close
 //
-// The reader distinguishes two failure modes. A torn tail — the file
-// ends inside a frame, the signature of a crash or power loss mid
-// write — is recoverable: every intact record prefix is read, and
-// OpenAppend truncates the tear and resumes writing after the last
-// intact record. Mid-file corruption — a CRC32C mismatch, an insane
-// frame length, or an undecodable payload with more data behind it —
-// is never silently tolerated: Read/OpenAppend fail with a
-// *CorruptError naming the offset and index of the first bad frame
-// (kreport -verify fscks a journal the same way). An
+// Package frame defines the torn-tail versus corruption rule. A torn
+// tail is recoverable: every intact record is read, and OpenAppend
+// truncates the tear and resumes writing after the last intact record.
+// A corrupt frame is never silently tolerated: Read and OpenAppend fail
+// with a *CorruptError naming the offset and index of the first bad
+// frame (kreport -verify fscks a journal the same way). An
 // analysis.ResultSet reconstructed from a complete journal is
 // identical to the set the live study assembled.
 //
@@ -37,31 +31,20 @@
 package journal
 
 import (
-	"bufio"
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/frame"
 	"repro/internal/inject"
 	"repro/internal/obs"
 )
 
-// magicLegacy identifies a journal whose frames carry no checksums
-// (formats 1 and 2); magic identifies the current checksummed format.
-const (
-	magicLegacy = "kjnl1\n"
-	magic       = "kjnl2\n"
-)
+const magic = "kjnl2\n"
 
 // Version is the journal format version. Version 2 added quarantine
 // records; version 3 added the CRC32C frame trailer (and the "kjnl2"
@@ -69,29 +52,11 @@ const (
 // older journals, which are all bitflip studies and read unchanged).
 const Version = 4
 
-// castagnoli is the CRC32C table used for frame trailers.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// CorruptError reports mid-file journal corruption: a frame that is
-// fully present yet fails its CRC32C, declares an insane length, or
-// does not decode. Unlike a torn tail it is not silently recoverable —
-// frames behind the corruption may be intact but cannot be trusted to
-// be reachable consistently, so the journal must be inspected (kreport
-// -verify) before any use.
-type CorruptError struct {
-	Path   string
-	Offset int64  // file offset of the bad frame's length prefix
-	Frame  int    // 0-based index of the bad frame
-	Reason string // what failed (CRC mismatch, bad length, undecodable payload)
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("journal: %s: corrupt frame %d at offset %d: %s", e.Path, e.Frame, e.Offset, e.Reason)
-}
-
-// maxRecord bounds a single record frame; larger lengths mean a
-// corrupt frame header.
-const maxRecord = 64 << 20
+// CorruptError reports a corrupt journal frame. Unlike a torn tail it
+// is not silently recoverable — frames behind the corruption may be
+// intact but cannot be trusted to be reachable consistently, so the
+// journal must be inspected (kreport -verify) before any use.
+type CorruptError = frame.CorruptError
 
 // DefaultFlushEvery is the default number of buffered result records
 // per fsync'd batch.
@@ -144,70 +109,16 @@ const (
 	kindTrailer    = "trailer"
 )
 
-// encodeFrame renders one record as a length-prefixed gzip frame with
-// a CRC32C trailer (omitted in the legacy format).
-func encodeFrame(rec *record, legacy bool) ([]byte, error) {
-	var payload bytes.Buffer
-	zw := gzip.NewWriter(&payload)
-	if err := json.NewEncoder(zw).Encode(rec); err != nil {
-		return nil, fmt.Errorf("journal: encode: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("journal: gzip: %w", err)
-	}
-	n := payload.Len()
-	size := 4 + n
-	if !legacy {
-		size += 4
-	}
-	frame := make([]byte, size)
-	binary.LittleEndian.PutUint32(frame, uint32(n))
-	copy(frame[4:], payload.Bytes())
-	if !legacy {
-		binary.LittleEndian.PutUint32(frame[4+n:], crc32.Checksum(payload.Bytes(), castagnoli))
-	}
-	return frame, nil
-}
-
-// syncDir fsyncs the directory holding path, so a freshly created
-// journal's directory entry survives host power loss.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// decodePayload parses one gzip+JSON record payload.
-func decodePayload(p []byte) (*record, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(p))
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	var rec record
-	if err := json.NewDecoder(zr).Decode(&rec); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
-
 // Writer appends records to a journal. It is safe for concurrent use
 // by parallel workers: results are buffered and flushed in batches,
 // each batch followed by an index record and an fsync.
 type Writer struct {
 	mu       sync.Mutex
 	f        *os.File
-	pending  bytes.Buffer
+	pending  []byte // framed records not yet written
 	pendingN int
 	marks    map[int]map[string]int // shard -> campaign -> high-water ordinal
 	closed   bool
-	// legacy keeps appended frames in the checksum-free format when
-	// resuming a journal created before the CRC32C trailer (a single
-	// file never mixes frame formats).
-	legacy bool
 
 	// FlushEvery is the number of buffered result records that forces
 	// a flush (default DefaultFlushEvery).
@@ -222,32 +133,11 @@ func Create(path string, h Header) (*Writer, error) {
 	if h.Version == 0 {
 		h.Version = Version
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := frame.Create(path, magic, &record{Kind: kindHeader, Header: &h})
 	if err != nil {
 		return nil, fmt.Errorf("journal: create: %w", err)
 	}
-	w := &Writer{f: f, FlushEvery: DefaultFlushEvery, marks: make(map[int]map[string]int)}
-	frame, err := encodeFrame(&record{Kind: kindHeader, Header: &h}, false)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Write(append([]byte(magic), frame...)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: write header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: sync: %w", err)
-	}
-	// Durability: the file's data is now on disk, but its directory
-	// entry may not be — fsync the parent so a power loss right after
-	// create cannot leave an acknowledged journal unreachable.
-	if err := syncDir(path); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: sync parent dir: %w", err)
-	}
-	return w, nil
+	return &Writer{f: f, FlushEvery: DefaultFlushEvery, marks: make(map[int]map[string]int)}, nil
 }
 
 // OpenAppend reopens an existing journal for resumption: it scans the
@@ -258,27 +148,15 @@ func Create(path string, h Header) (*Writer, error) {
 // that looks complete. The returned Journal holds everything already
 // recorded (feed Completed() to the resumed study).
 func OpenAppend(path string) (*Writer, *Journal, error) {
-	j, good, err := scan(path)
+	j, end, err := scan(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := frame.Reopen(path, end)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: open: %w", err)
+		return nil, nil, fmt.Errorf("journal: reopen: %w", err)
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: truncate partial tail: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: sync truncation: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	w := &Writer{f: f, FlushEvery: DefaultFlushEvery, marks: make(map[int]map[string]int), legacy: j.Legacy}
+	w := &Writer{f: f, FlushEvery: DefaultFlushEvery, marks: make(map[int]map[string]int)}
 	for key, entries := range j.Entries {
 		for _, e := range entries {
 			w.mark(e.Worker, key, e.Ordinal)
@@ -304,11 +182,9 @@ func (w *Writer) BeginCampaign(c inject.Campaign, total int) error {
 	if w.closed {
 		return fmt.Errorf("journal: write after close")
 	}
-	frame, err := encodeFrame(&record{Kind: kindCampaign, Campaign: analysis.CampaignKey(c), Total: total}, w.legacy)
-	if err != nil {
+	if err := w.appendLocked(&record{Kind: kindCampaign, Campaign: analysis.CampaignKey(c), Total: total}); err != nil {
 		return err
 	}
-	w.pending.Write(frame)
 	return w.flushLocked()
 }
 
@@ -321,13 +197,11 @@ func (w *Writer) Put(c inject.Campaign, worker, ordinal, total int, res inject.R
 		return fmt.Errorf("journal: write after close")
 	}
 	key := analysis.CampaignKey(c)
-	frame, err := encodeFrame(&record{
+	if err := w.appendLocked(&record{
 		Kind: kindResult, Campaign: key, Worker: worker, Ordinal: ordinal, Result: &res,
-	}, w.legacy)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	w.pending.Write(frame)
 	w.pendingN++
 	w.mark(worker, key, ordinal)
 	every := w.FlushEvery
@@ -352,13 +226,11 @@ func (w *Writer) Quarantine(c inject.Campaign, worker, ordinal int, hf inject.Ha
 		return fmt.Errorf("journal: write after close")
 	}
 	key := analysis.CampaignKey(c)
-	frame, err := encodeFrame(&record{
+	if err := w.appendLocked(&record{
 		Kind: kindQuarantine, Campaign: key, Worker: worker, Ordinal: ordinal, Fault: &hf,
-	}, w.legacy)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	w.pending.Write(frame)
 	w.pendingN++
 	w.mark(worker, key, ordinal)
 	return w.flushLocked()
@@ -374,28 +246,36 @@ func (w *Writer) Flush() error {
 	return w.flushLocked()
 }
 
+// appendLocked frames one record onto the pending batch.
+func (w *Writer) appendLocked(rec *record) error {
+	buf, err := frame.AppendRecord(w.pending, rec)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	w.pending = buf
+	return nil
+}
+
+// flushLocked writes the pending batch and its index record, then
+// fsyncs. On failure the batch stays pending.
 func (w *Writer) flushLocked() error {
-	if w.pending.Len() == 0 {
+	if len(w.pending) == 0 {
 		return nil
 	}
-	idx, err := encodeFrame(&record{Kind: kindIndex, Index: w.indexLocked()}, w.legacy)
+	buf, err := frame.AppendRecord(w.pending, &record{Kind: kindIndex, Index: w.indexLocked()})
 	if err != nil {
-		return err
+		return fmt.Errorf("journal: %w", err)
 	}
-	n := w.pending.Len() + len(idx)
-	if _, err := w.f.Write(w.pending.Bytes()); err != nil {
+	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("journal: write: %w", err)
-	}
-	if _, err := w.f.Write(idx); err != nil {
-		return fmt.Errorf("journal: write index: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
-	w.pending.Reset()
+	w.pending = buf[:0]
 	w.pendingN = 0
 	if w.Metrics != nil {
-		w.Metrics.JournalFlush(n)
+		w.Metrics.JournalFlush(len(buf))
 	}
 	return nil
 }
@@ -431,17 +311,13 @@ func (w *Writer) Close(trailer *obs.Snapshot) error {
 		firstErr = err
 	}
 	if trailer != nil && firstErr == nil {
-		frame, err := encodeFrame(&record{Kind: kindTrailer, Metrics: trailer}, w.legacy)
+		buf, err := frame.AppendRecord(nil, &record{Kind: kindTrailer, Metrics: trailer})
 		if err == nil {
-			if _, werr := w.f.Write(frame); werr != nil {
-				err = werr
-			} else {
+			if _, err = w.f.Write(buf); err == nil {
 				err = w.f.Sync()
 			}
 		}
-		if err != nil {
-			firstErr = err
-		}
+		firstErr = err
 	}
 	if err := w.f.Close(); err != nil && firstErr == nil {
 		firstErr = err
@@ -472,8 +348,6 @@ type Journal struct {
 	Truncated bool
 	// Frames counts the intact frames read (including the header).
 	Frames int
-	// Legacy reports the checksum-free "kjnl1" frame format.
-	Legacy bool
 }
 
 // Read decodes a journal. A torn tail (crash mid-write) is tolerated
@@ -485,8 +359,7 @@ func Read(path string) (*Journal, error) {
 	return j, err
 }
 
-// Sniff reports whether path starts with a journal magic (current or
-// legacy format).
+// Sniff reports whether path starts with the journal magic.
 func Sniff(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
@@ -497,127 +370,49 @@ func Sniff(path string) bool {
 	if _, err := io.ReadFull(f, buf); err != nil {
 		return false
 	}
-	return string(buf) == magic || string(buf) == magicLegacy
+	return string(buf) == magic
 }
 
-// scan reads the intact record prefix and returns its end offset.
-//
-// The current "kjnl2" format distinguishes a torn tail from mid-file
-// corruption. The writer only ever appends whole frames, so a crash or
-// power loss can leave at most a *prefix* of one frame at EOF — a
-// short read of the length prefix, payload, or CRC trailer is the torn
-// tail, recoverable by truncation. Anything else — an insane length
-// value, a fully present frame failing its CRC32C, or a payload that
-// clears the CRC yet does not decode — is corruption: scan returns the
-// intact prefix alongside a *CorruptError and callers must not treat
-// the prefix as the journal's full content. Legacy "kjnl1" journals
-// have no checksums, so the reader keeps the old lenient behavior:
-// the first anomaly of any kind is treated as the torn tail.
+// scan reads the intact record prefix and returns its end offset. On
+// a *CorruptError the intact prefix is returned alongside it; callers
+// must not treat that prefix as the journal's full content.
 func scan(path string) (*Journal, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: open: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, 0, fmt.Errorf("journal: %s is not a journal file", path)
-	}
-	legacy := false
-	switch string(head) {
-	case magic:
-	case magicLegacy:
-		legacy = true
-	default:
-		return nil, 0, fmt.Errorf("journal: %s is not a journal file", path)
-	}
 	j := &Journal{
 		Totals:     make(map[string]int),
 		Entries:    make(map[string][]Entry),
 		Quarantine: make(map[string]map[int]inject.HarnessFault),
-		Legacy:     legacy,
 	}
-	good := int64(len(magic))
-	var corrupt *CorruptError
-	badFrame := func(reason string) {
-		corrupt = &CorruptError{Path: path, Offset: good, Frame: j.Frames, Reason: reason}
+	ext, err := frame.Scan(path, magic, func(i int, payload []byte) error {
+		var rec record
+		if err := frame.DecodeRecord(payload, &rec); err != nil {
+			return err
+		}
+		if i > 0 {
+			j.apply(&rec)
+			return nil
+		}
+		if rec.Kind != kindHeader || rec.Header == nil {
+			return errors.New("missing header record")
+		}
+		j.Header = *rec.Header
+		return nil
+	})
+	j.Frames, j.Truncated = ext.Frames, ext.Torn
+	var ce *CorruptError
+	switch {
+	case errors.As(err, &ce) && j.Frames > 0:
+		return j, ext.End, err
+	case err != nil:
+		return nil, 0, err
 	}
-	sawHeader := false
-	for corrupt == nil {
-		var lenbuf [4]byte
-		if _, err := io.ReadFull(br, lenbuf[:]); err != nil {
-			break // clean EOF, or torn length prefix
-		}
-		n := binary.LittleEndian.Uint32(lenbuf[:])
-		if n == 0 || n > maxRecord {
-			if !legacy {
-				badFrame(fmt.Sprintf("insane frame length %d", n))
-			}
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break // torn payload
-		}
-		if !legacy {
-			var crcbuf [4]byte
-			if _, err := io.ReadFull(br, crcbuf[:]); err != nil {
-				break // torn CRC trailer
-			}
-			want := binary.LittleEndian.Uint32(crcbuf[:])
-			if got := crc32.Checksum(payload, castagnoli); got != want {
-				badFrame(fmt.Sprintf("CRC32C mismatch: frame declares %#08x, payload hashes to %#08x", want, got))
-				break
-			}
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			if !legacy {
-				// The payload survived its checksum yet does not parse:
-				// the frame was written corrupt, not damaged at rest.
-				badFrame(fmt.Sprintf("undecodable payload: %v", err))
-			}
-			break
-		}
-		if !sawHeader {
-			if rec.Kind != kindHeader || rec.Header == nil {
-				return nil, 0, fmt.Errorf("journal: %s: missing header record", path)
-			}
-			j.Header = *rec.Header
-			sawHeader = true
-		} else {
-			j.apply(rec)
-		}
-		good += 4 + int64(n)
-		if !legacy {
-			good += 4
-		}
-		j.Frames++
-	}
-	if !sawHeader {
-		if corrupt != nil {
-			return nil, 0, corrupt
-		}
-		return nil, 0, fmt.Errorf("journal: %s: missing header record", path)
-	}
-	if corrupt != nil {
-		return j, good, corrupt
-	}
-	j.Truncated = good != st.Size()
-	return j, good, nil
+	return j, ext.End, nil
 }
 
 // VerifyReport is the result of fscking a journal with Verify.
 type VerifyReport struct {
 	Path        string
-	Legacy      bool // checksum-free "kjnl1" format
-	Frames      int  // intact frames (including the header)
-	Results     int  // distinct completed injections
+	Frames      int // intact frames (including the header)
+	Results     int // distinct completed injections
 	Quarantined int
 	Campaigns   map[string]int // campaign key -> announced target total
 	Truncated   bool           // torn tail (recoverable crash signature)
@@ -637,16 +432,11 @@ type VerifyReport struct {
 func Verify(path string) (*VerifyReport, error) {
 	j, _, err := scan(path)
 	var corrupt *CorruptError
-	if err != nil {
-		var ce *CorruptError
-		if !errors.As(err, &ce) || j == nil {
-			return nil, err
-		}
-		corrupt = ce
+	if err != nil && (!errors.As(err, &corrupt) || j == nil) {
+		return nil, err
 	}
 	return &VerifyReport{
 		Path:        path,
-		Legacy:      j.Legacy,
 		Frames:      j.Frames,
 		Results:     j.CompletedCount(),
 		Quarantined: j.QuarantinedCount(),

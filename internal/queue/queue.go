@@ -4,16 +4,12 @@
 // through pending → leased → done, with the transitions that must
 // survive a crash journaled to disk.
 //
-// The file format reuses the result journal's integrity discipline
-// (internal/journal): a magic string, then length-prefixed frames of
-//
-//	uint32 LE payload length | payload (gzip JSON) | uint32 LE CRC32C
-//
-// every appended frame fsync'd before the operation is acknowledged,
-// and the parent directory fsync'd after create. On reopen, a torn
-// tail (crash mid-append) is truncated and recovered; mid-file
-// corruption is refused with a *CorruptError naming the frame and
-// offset, exactly like the result journal.
+// On disk a queue is the magic "kqwq1" followed by internal/frame
+// frames of gzip-JSON records, like the result journal: the parent
+// directory is fsync'd after create, and every appended frame is
+// fsync'd before the operation is acknowledged. On reopen, a torn tail
+// (crash mid-append) is truncated and recovered; a corrupt frame is
+// refused with a *CorruptError naming the frame and offset.
 //
 // Crash semantics:
 //
@@ -39,19 +35,14 @@
 package queue
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -61,25 +52,9 @@ const magic = "kqwq1\n"
 // Version is the queue file format version.
 const Version = 1
 
-// maxRecord bounds one frame payload; larger lengths mean corruption.
-const maxRecord = 16 << 20
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// CorruptError reports mid-file queue corruption (a fully present
-// frame failing its CRC32C, an insane length, or an undecodable
-// payload). It mirrors journal.CorruptError: the file must be
+// CorruptError reports a corrupt queue frame: the file must be
 // inspected, not resumed.
-type CorruptError struct {
-	Path   string
-	Offset int64
-	Frame  int
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("queue: %s: corrupt frame %d at offset %d: %s", e.Path, e.Frame, e.Offset, e.Reason)
-}
+type CorruptError = frame.CorruptError
 
 // Shard is one work unit: a contiguous ordinal range [Start, End) of
 // one campaign's deterministic target list.
@@ -177,68 +152,12 @@ type Stats struct {
 	Reclaimed int `json:",omitempty"`
 }
 
-func encodeFrame(rec *record) ([]byte, error) {
-	var payload bytes.Buffer
-	zw := gzip.NewWriter(&payload)
-	if err := json.NewEncoder(zw).Encode(rec); err != nil {
-		return nil, fmt.Errorf("queue: encode: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("queue: gzip: %w", err)
-	}
-	n := payload.Len()
-	frame := make([]byte, 4+n+4)
-	binary.LittleEndian.PutUint32(frame, uint32(n))
-	copy(frame[4:], payload.Bytes())
-	binary.LittleEndian.PutUint32(frame[4+n:], crc32.Checksum(payload.Bytes(), castagnoli))
-	return frame, nil
-}
-
-func decodePayload(p []byte) (*record, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(p))
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	var rec record
-	if err := json.NewDecoder(zr).Decode(&rec); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
-
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // Create starts a new queue at path, durably writing the header (spec
 // + shard definitions) before returning.
 func Create(path string, spec wire.StudySpec, shards []Shard) (*Queue, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := frame.Create(path, magic, &record{Kind: kindHeader, Version: Version, Spec: &spec, Shards: shards})
 	if err != nil {
 		return nil, fmt.Errorf("queue: create: %w", err)
-	}
-	frame, err := encodeFrame(&record{Kind: kindHeader, Version: Version, Spec: &spec, Shards: shards})
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Write(append([]byte(magic), frame...)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("queue: write header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("queue: sync: %w", err)
-	}
-	if err := syncDir(path); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("queue: sync parent dir: %w", err)
 	}
 	return newQueue(f, path, shards, nil), nil
 }
@@ -251,28 +170,16 @@ func Create(path string, spec wire.StudySpec, shards []Shard) (*Queue, error) {
 // re-derivation; any drift is fatal — dispatching ordinal ranges that
 // no longer mean the same targets would merge incomparable results.
 func Open(path string, spec wire.StudySpec, shards []Shard) (*Queue, error) {
-	stored, doneIDs, good, err := scan(path)
+	stored, doneIDs, end, err := scan(path)
 	if err != nil {
 		return nil, err
 	}
 	if err := validate(path, stored, spec, shards); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := frame.Reopen(path, end)
 	if err != nil {
-		return nil, fmt.Errorf("queue: open: %w", err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("queue: truncate torn tail: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("queue: sync truncation: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("queue: reopen: %w", err)
 	}
 	return newQueue(f, path, shards, doneIDs), nil
 }
@@ -315,71 +222,38 @@ func validate(path string, stored *record, spec wire.StudySpec, shards []Shard) 
 	return nil
 }
 
-// scan reads the intact record prefix, mirroring the result journal's
-// torn-tail vs corruption distinction.
-func scan(path string) (header *record, doneIDs map[int]bool, good int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("queue: open: %w", err)
-	}
-	defer f.Close()
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, head); err != nil || string(head) != magic {
-		return nil, nil, 0, fmt.Errorf("queue: %s is not a queue file", path)
-	}
+// scan reads the intact record prefix.
+func scan(path string) (header *record, doneIDs map[int]bool, end int64, err error) {
 	doneIDs = make(map[int]bool)
-	good = int64(len(magic))
-	frames := 0
-	for {
-		var lenbuf [4]byte
-		if _, err := io.ReadFull(f, lenbuf[:]); err != nil {
-			break // clean EOF or torn length prefix
+	ext, err := frame.Scan(path, magic, func(i int, payload []byte) error {
+		var rec record
+		if err := frame.DecodeRecord(payload, &rec); err != nil {
+			return err
 		}
-		n := binary.LittleEndian.Uint32(lenbuf[:])
-		if n == 0 || n > maxRecord {
-			return nil, nil, 0, &CorruptError{Path: path, Offset: good, Frame: frames,
-				Reason: fmt.Sprintf("insane frame length %d", n)}
-		}
-		buf := make([]byte, n+4)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			break // torn payload or CRC trailer
-		}
-		payload := buf[:n]
-		want := binary.LittleEndian.Uint32(buf[n:])
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return nil, nil, 0, &CorruptError{Path: path, Offset: good, Frame: frames,
-				Reason: fmt.Sprintf("CRC32C mismatch: frame declares %#08x, payload hashes to %#08x", want, got)}
-		}
-		rec, derr := decodePayload(payload)
-		if derr != nil {
-			return nil, nil, 0, &CorruptError{Path: path, Offset: good, Frame: frames,
-				Reason: fmt.Sprintf("undecodable payload: %v", derr)}
-		}
-		if frames == 0 {
-			if rec.Kind != kindHeader {
-				return nil, nil, 0, fmt.Errorf("queue: %s: missing header record", path)
-			}
-			header = rec
-		} else if rec.Kind == kindDone {
+		switch {
+		case i == 0 && rec.Kind != kindHeader:
+			return errors.New("missing header record")
+		case i == 0:
+			header = &rec
+		case rec.Kind == kindDone:
 			doneIDs[rec.Shard] = true
 		}
-		good += 4 + int64(n) + 4
-		frames++
+		return nil
+	})
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	if header == nil {
-		return nil, nil, 0, fmt.Errorf("queue: %s: missing header record", path)
-	}
-	return header, doneIDs, good, nil
+	return header, doneIDs, ext.End, nil
 }
 
-// append journals one record with fsync; the operation is not
+// appendLocked journals one record with fsync; the operation is not
 // acknowledged until the frame is durable.
 func (q *Queue) appendLocked(rec *record) error {
-	frame, err := encodeFrame(rec)
+	buf, err := frame.AppendRecord(nil, rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("queue: %w", err)
 	}
-	if _, err := q.f.Write(frame); err != nil {
+	if _, err := q.f.Write(buf); err != nil {
 		return fmt.Errorf("queue: append: %w", err)
 	}
 	if err := q.f.Sync(); err != nil {

@@ -7,20 +7,16 @@
 // livelocks the Go runtime, blows up the heap or is SIGKILLed takes
 // down only itself; the supervisor sees a dead pipe and restarts it.
 //
-// Transport: length-prefixed frames over any byte stream — the
-// worker's stdin/stdout pipes, or a TCP connection for remote workers
-// (kinject -connect). Streams whose reader supports SetReadDeadline
-// (os.File pipes, net.Conn) additionally get mid-frame silence bounds:
-// a peer that dies after writing half a frame cannot wedge Recv
-// forever. Each frame is
-//
-//	uint32 LE payload length | payload (JSON) | uint32 LE CRC32C(payload)
-//
-// so a corrupt or interleaved write (a stray fmt.Print in the worker,
-// a torn pipe) is detected as a protocol error instead of being
-// decoded into a wrong result. The protocol is versioned via the
-// hello/ready handshake; a version-skewed worker binary is rejected
-// before any injection runs.
+// Transport: internal/frame frames, each holding one JSON message,
+// over any byte stream — the worker's stdin/stdout pipes, or a TCP
+// connection for remote workers (kinject -connect). A corrupt or
+// interleaved write (a stray fmt.Print in the worker) is a protocol
+// error, never a wrong result; a torn frame reads as the peer's death.
+// Streams whose reader supports SetReadDeadline (os.File pipes,
+// net.Conn) additionally get mid-frame silence bounds: a peer that
+// dies after writing half a frame cannot wedge Recv forever. The
+// protocol is versioned via the hello/ready handshake; a
+// version-skewed worker binary is rejected before any injection runs.
 //
 // Message flow:
 //
@@ -42,16 +38,15 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/inject"
 )
 
@@ -66,14 +61,6 @@ import (
 // disconnects, so a skewed remote worker is rejected at attach time
 // instead of after it booted a whole study.
 const ProtocolVersion = 3
-
-// maxFrame bounds one frame payload; larger lengths mean a corrupt or
-// desynchronized stream.
-const maxFrame = 64 << 20
-
-// castagnoli is the CRC32C polynomial table (same checksum family the
-// journal uses for its frame trailers).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadFrame reports a corrupt or desynchronized frame: a length
 // outside bounds, a CRC32C mismatch, or an undecodable payload. It is
@@ -124,14 +111,11 @@ type StudySpec struct {
 	FaultModel string        `json:",omitempty"`
 	RunTimeout time.Duration // per-run wall-clock watchdog (0 = derive)
 	MaxRetries int           // in-worker harness-fault retries before quarantine
-	// NoCheckpoint disables checkpoint-at-breakpoint reuse in workers.
-	// It does not affect results (zero value = checkpointing on, which
-	// keeps old supervisors compatible with new workers).
-	NoCheckpoint bool
-	// NoBlocks disables the CPU's superblock trace-execution engine in
-	// workers. Like NoCheckpoint it does not affect results (zero value
-	// = blocks on), so no protocol bump is needed.
-	NoBlocks bool `json:",omitempty"`
+	// EngineOptions are passed unchanged to the worker's runners. They
+	// do not affect results, and their zero value is the default
+	// engine, so they need no protocol bump. Embedded last, they keep
+	// the spec's JSON field names and order.
+	inject.EngineOptions
 }
 
 // Ready is the worker's handshake reply: the golden (fault-free) run
@@ -275,14 +259,18 @@ func (c *Conn) armFrame() error {
 	return c.rd.SetReadDeadline(t)
 }
 
-// mapReadErr normalizes raw read errors: deadline expiry becomes
-// ErrRecvTimeout, a peer death mid-frame becomes io.EOF.
+// mapReadErr normalizes read errors: deadline expiry becomes
+// ErrRecvTimeout, a peer death mid-frame becomes io.EOF, and a corrupt
+// frame becomes ErrBadFrame.
 func mapReadErr(err error) error {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
+	var ce *frame.CorruptError
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
 		return fmt.Errorf("%w: %v", ErrRecvTimeout, err)
-	}
-	if errors.Is(err, io.ErrUnexpectedEOF) {
+	case err == frame.ErrTorn:
 		return io.EOF
+	case errors.As(err, &ce):
+		return fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	return err
 }
@@ -293,13 +281,10 @@ func (c *Conn) Send(m *Msg) error {
 	if err != nil {
 		return fmt.Errorf("wire: encode %s: %w", m.Type, err)
 	}
-	frame := make([]byte, 4+len(payload)+4)
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	binary.LittleEndian.PutUint32(frame[4+len(payload):], crc32.Checksum(payload, castagnoli))
+	buf := frame.Append(nil, payload)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.w.Write(frame); err != nil {
+	if _, err := c.w.Write(buf); err != nil {
 		return fmt.Errorf("wire: write %s: %w", m.Type, err)
 	}
 	return nil
@@ -312,8 +297,8 @@ func (c *Conn) Send(m *Msg) error {
 func (c *Conn) Recv() (*Msg, error) {
 	// Phase 1: wait for the frame to begin. This is the legitimate idle
 	// state (a worker between requests), bounded only by an explicit
-	// absolute deadline. Peek does not consume, so buffered bytes from
-	// a previous partial read are still seen by the ReadFulls below.
+	// absolute deadline. Peek does not consume, so the byte it waited
+	// for is still there for frame.Read below.
 	if err := c.armIdle(); err != nil {
 		return nil, fmt.Errorf("wire: arm deadline: %w", err)
 	}
@@ -322,22 +307,9 @@ func (c *Conn) Recv() (*Msg, error) {
 	}
 	// Phase 2: the frame is in flight. A peer that goes silent now died
 	// mid-write, so every subsequent read runs under the frame timeout.
-	var lenbuf [4]byte
-	if err := c.readFull(lenbuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(lenbuf[:])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("%w: frame length %d", ErrBadFrame, n)
-	}
-	buf := make([]byte, n+4)
-	if err := c.readFull(buf); err != nil {
-		return nil, err
-	}
-	payload := buf[:n]
-	want := binary.LittleEndian.Uint32(buf[n:])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: CRC32C %#x != %#x", ErrBadFrame, got, want)
+	payload, err := frame.Read(frameReader{c})
+	if err != nil {
+		return nil, mapReadErr(err)
 	}
 	var m Msg
 	if err := json.Unmarshal(payload, &m); err != nil {
@@ -346,15 +318,15 @@ func (c *Conn) Recv() (*Msg, error) {
 	return &m, nil
 }
 
-// readFull reads len(p) bytes under the mid-frame deadline.
-func (c *Conn) readFull(p []byte) error {
-	if err := c.armFrame(); err != nil {
-		return fmt.Errorf("wire: arm deadline: %w", err)
+// frameReader reads a Conn's stream with every read under the
+// mid-frame deadline.
+type frameReader struct{ c *Conn }
+
+func (r frameReader) Read(p []byte) (int, error) {
+	if err := r.c.armFrame(); err != nil {
+		return 0, fmt.Errorf("wire: arm deadline: %w", err)
 	}
-	if _, err := io.ReadFull(c.br, p); err != nil {
-		return mapReadErr(err)
-	}
-	return nil
+	return r.c.br.Read(p)
 }
 
 // Backend is the worker-side implementation served by Serve: boot the

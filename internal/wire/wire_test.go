@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -55,6 +56,34 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := c.Recv(); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream: %v, want EOF", err)
+	}
+}
+
+// A StudySpec travels in hello frames, queue headers and kampaignd's
+// spec.json files, so its JSON form is pinned: these strings were
+// marshaled before the engine options moved into inject.EngineOptions.
+func TestStudySpecJSONPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec StudySpec
+		want string
+	}{
+		{StudySpec{Seed: 2003}, `{"Seed":2003,"Scale":0,"Campaigns":"","MaxTargetsPerFunc":0,"MaxFuncsPerCampaign":0,"DisableAssertions":false,"RunTimeout":0,"MaxRetries":0,"NoCheckpoint":false}`},
+		{StudySpec{Seed: 2003, Scale: 1, Campaigns: "ABC", MaxTargetsPerFunc: 2, MaxFuncsPerCampaign: 3,
+			DisableAssertions: true, FaultModel: "syscall", RunTimeout: 5 * time.Second, MaxRetries: 2,
+			EngineOptions: inject.EngineOptions{NoCheckpoint: true, NoBlocks: true}},
+			`{"Seed":2003,"Scale":1,"Campaigns":"ABC","MaxTargetsPerFunc":2,"MaxFuncsPerCampaign":3,"DisableAssertions":true,"FaultModel":"syscall","RunTimeout":5000000000,"MaxRetries":2,"NoCheckpoint":true,"NoBlocks":true}`},
+	} {
+		got, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("StudySpec JSON\n got %s\nwant %s", got, tc.want)
+		}
+		var back StudySpec
+		if err := json.Unmarshal(got, &back); err != nil || back != tc.spec {
+			t.Errorf("StudySpec JSON round trip: %+v, %v", back, err)
+		}
 	}
 }
 
