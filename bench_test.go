@@ -278,9 +278,9 @@ func BenchmarkTable7CaseStudies(b *testing.B) {
 
 // BenchmarkGoldenRun measures the cost of one fault-free benchmark
 // pass (the unit of every injection experiment). Checkpointing is
-// disabled: with it on, the runner would synthesize every iteration
-// after the first from the cached never-activated entry and the
-// benchmark would stop measuring a machine run at all.
+// disabled: with it on, the runner would answer every iteration from
+// the golden run's coverage, because cpu_idle is never reached, and
+// the benchmark would stop measuring a machine run at all.
 func BenchmarkGoldenRun(b *testing.B) {
 	runner, err := inject.NewRunnerWithOptions(unixbench.Suite(1), inject.RunnerOptions{EngineOptions: inject.EngineOptions{NoCheckpoint: true}})
 	if err != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/inject"
+	"repro/internal/kernel"
 )
 
 // quickStudy runs a heavily subsampled study for tests.
@@ -151,5 +153,47 @@ func TestParallelMatchesSerial(t *testing.T) {
 			a.CrashSub != b.CrashSub {
 			t.Fatalf("target %d differs:\nserial:   %+v\nparallel: %+v", i, a, b)
 		}
+	}
+}
+
+// TestSharedProgramUnchanged: every boot in a process shares one
+// linked kernel program. After a study's runs, and an assertion-free
+// runner's, it must still equal a fresh assembly: nothing writes it.
+func TestSharedProgramUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs injections")
+	}
+	cfg := DefaultConfig()
+	cfg.MaxFuncsPerCampaign = 3
+	cfg.MaxTargetsPerFunc = 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	ablated, err := inject.NewRunnerWithOptions(s.ws, inject.RunnerOptions{DisableAssertions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, err := s.Targets(inject.CampaignC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range targets {
+		if _, hf := ablated.RunTarget(inject.CampaignC, tg); hf != nil {
+			t.Fatal(hf)
+		}
+	}
+	if ablated.M.Prog != s.Runner.M.Prog {
+		t.Fatal("the runners' boots linked separate programs")
+	}
+	fresh, err := kernel.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.Runner.M.Prog, fresh) {
+		t.Fatal("the shared program changed")
 	}
 }

@@ -120,6 +120,11 @@ type CPU struct {
 	// enabled debug-register address. The hook typically flips a bit at
 	// the address and disables the register (the injection driver).
 	OnBreakpoint func(c *CPU, dr int)
+	// Coverage, when set, marks every EIP at which Step starts an
+	// instruction, at the debug-register check: after a run it holds
+	// exactly the PCs where an execute breakpoint could have fired.
+	// Run single-steps while it is set.
+	Coverage *Coverage
 
 	// Port I/O hooks. OnOut receives OUT writes (console, panic port);
 	// OnIn supplies IN reads. Nil hooks discard writes and read all-ones.
@@ -258,6 +263,34 @@ func (c *CPU) SetBreakpoint(dr int, addr uint32) {
 // ClearBreakpoint disarms debug register dr.
 func (c *CPU) ClearBreakpoint(dr int) { c.DREnabled[dr] = false }
 
+// Coverage is a bitmap of the instruction-start addresses in
+// [base, base+size).
+type Coverage struct {
+	base, size uint32
+	bits       []uint64
+}
+
+// NewCoverage returns an empty bitmap over [base, base+size).
+func NewCoverage(base, size uint32) *Coverage {
+	return &Coverage{base: base, size: size, bits: make([]uint64, (size+63)/64)}
+}
+
+func (v *Coverage) mark(eip uint32) {
+	if off := eip - v.base; off < v.size {
+		v.bits[off>>6] |= 1 << (off & 63)
+	}
+}
+
+// Started reports whether an instruction was started at addr; known is
+// false when addr lies outside the bitmap.
+func (v *Coverage) Started(addr uint32) (started, known bool) {
+	off := addr - v.base
+	if off >= v.size {
+		return false, false
+	}
+	return v.bits[off>>6]&(1<<(off&63)) != 0, true
+}
+
 // StopReason tells why Run returned.
 type StopReason int
 
@@ -312,6 +345,9 @@ func (c *CPU) Step() error {
 			}
 		}
 	}
+	if c.Coverage != nil {
+		c.Coverage.mark(c.EIP)
+	}
 
 	if c.icache == nil {
 		c.icache = make([]icacheEntry, icacheSize)
@@ -357,9 +393,9 @@ func (c *CPU) pageFault(err error, _ uint32) error {
 //
 // The default execution engine is the superblock loop (block.go); the
 // per-instruction loop remains the reference and handles the cases
-// the block engine conservatively declines: DisableBlocks and PC
-// sampling (whose every-instruction EIP inspection a hoisted check
-// cannot preserve).
+// the block engine conservatively declines: DisableBlocks, PC
+// sampling and coverage recording (whose every-instruction EIP
+// inspection a hoisted check cannot preserve).
 func (c *CPU) Run(budget uint64) (StopReason, *Exception) {
 	// Poll the stop flag once per Run entry so even livelocks made of
 	// many short host calls (each executing fewer than
@@ -368,7 +404,7 @@ func (c *CPU) Run(budget uint64) (StopReason, *Exception) {
 		return StopInterrupted, nil
 	}
 	limit := c.Cycles + budget
-	if !c.DisableBlocks && c.SampleEvery == 0 {
+	if !c.DisableBlocks && c.SampleEvery == 0 && c.Coverage == nil {
 		return c.runBlocks(limit)
 	}
 	return c.runStep(limit)

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,11 +171,23 @@ func TestFleetDrainsAllShards(t *testing.T) {
 
 func TestPoolDeathRequeuesShardToSurvivor(t *testing.T) {
 	// Pool "doomed" fails its very first dispatch; "survivor" must end
-	// up executing every ordinal, including the released shard's.
+	// up executing every ordinal, including the released shard's. The
+	// survivor waits for that dispatch, so the doomed pool always gets
+	// a shard before the queue drains.
+	doomedTried := make(chan struct{})
+	var once sync.Once
 	withStubs(t, func(pc PoolConfig) remote {
 		r := &stubRemote{}
 		if pc.Name == "doomed" {
-			r.failAt = func(string, int) error { return errors.New("injected pool death") }
+			r.failAt = func(string, int) error {
+				once.Do(func() { close(doomedTried) })
+				return errors.New("injected pool death")
+			}
+		} else {
+			r.failAt = func(string, int) error {
+				<-doomedTried
+				return nil
+			}
 		}
 		return r
 	})
@@ -318,7 +331,19 @@ func TestAlreadyDoneOrdinalsSkipped(t *testing.T) {
 }
 
 func TestChaosDieAfterRunsKillsPoolOnce(t *testing.T) {
-	withStubs(t, func(PoolConfig) remote { return &stubRemote{} })
+	// The survivor waits for the mortal pool's third dispatch, the first
+	// on its closed supervisor, so the mortal pool always lives long
+	// enough to die before the queue drains.
+	mortal := &countingRemote{at: 3, reached: make(chan struct{})}
+	withStubs(t, func(pc PoolConfig) remote {
+		if pc.Name == "mortal" {
+			return mortal
+		}
+		return &stubRemote{failAt: func(string, int) error {
+			<-mortal.reached
+			return nil
+		}}
+	})
 	cfg := fleetConfig(
 		PoolConfig{Name: "mortal", ChaosDieAfterRuns: 2},
 		PoolConfig{Name: "survivor"},
@@ -347,6 +372,21 @@ func TestChaosDieAfterRunsKillsPoolOnce(t *testing.T) {
 	if !mortalDead {
 		t.Fatal("chaos-configured pool never died")
 	}
+}
+
+// countingRemote closes reached when its at-th dispatch begins.
+type countingRemote struct {
+	stubRemote
+	at      int32
+	calls   atomic.Int32
+	reached chan struct{}
+}
+
+func (r *countingRemote) Do(campaign string, ord int) (*inject.Result, *inject.HarnessFault, error) {
+	if r.calls.Add(1) == r.at {
+		close(r.reached)
+	}
+	return r.stubRemote.Do(campaign, ord)
 }
 
 // blockingRemote wedges the pool's very first dispatch until released
@@ -381,7 +421,13 @@ func TestLeaseReclaimNoDupNoLoss(t *testing.T) {
 		if pc.Name == "wedged" {
 			return wedged
 		}
-		return &stubRemote{}
+		// Hold the survivor until the wedged pool holds a shard:
+		// otherwise it may drain the queue before the wedged pool
+		// acquires anything, and no lease is ever reclaimed.
+		return &stubRemote{failAt: func(string, int) error {
+			<-wedged.blocked
+			return nil
+		}}
 	})
 	cfg := fleetConfig(PoolConfig{Name: "wedged"}, PoolConfig{Name: "survivor"})
 	cfg.Metrics = obs.New(1)
@@ -439,10 +485,22 @@ func TestLeaseReclaimNoDupNoLoss(t *testing.T) {
 // Losing a remote pool is the graceful-degradation path: the campaign
 // completes on the local survivor and the metric records the event.
 func TestRemotePoolDeathCountsDegradation(t *testing.T) {
+	// The local pool waits for the remote pool's first run, so the
+	// remote pool always gets a shard to die on before the queue drains.
+	remoteTried := make(chan struct{})
+	var once sync.Once
 	withStubs(t, func(pc PoolConfig) remote {
 		r := &stubRemote{}
 		if pc.Name == "remote" {
-			r.failAt = func(string, int) error { return errors.New("all TCP workers gone") }
+			r.failAt = func(string, int) error {
+				once.Do(func() { close(remoteTried) })
+				return errors.New("all TCP workers gone")
+			}
+		} else {
+			r.failAt = func(string, int) error {
+				<-remoteTried
+				return nil
+			}
 		}
 		return r
 	})

@@ -38,6 +38,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // MaxPayload bounds one frame's payload; a larger length means a
@@ -117,12 +118,20 @@ func tornOr(err error) error {
 	return err
 }
 
+// gzipWriters recycles the record codec's compressors: a fresh
+// gzip.Writer allocates most of a megabyte, and a campaign writes a
+// record for every result. Reset keeps the default level and the zero
+// header, so the bytes do not change.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // AppendRecord appends v to dst as one frame whose payload is a single
 // gzip member holding v's JSON encoding: the journal's and the queue's
 // record codec.
 func AppendRecord(dst []byte, v any) ([]byte, error) {
 	var payload bytes.Buffer
-	zw := gzip.NewWriter(&payload)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&payload)
 	if err := json.NewEncoder(zw).Encode(v); err != nil {
 		return dst, fmt.Errorf("frame: encode record: %w", err)
 	}

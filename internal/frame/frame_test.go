@@ -2,10 +2,13 @@ package frame
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -16,6 +19,81 @@ func TestAppendGolden(t *testing.T) {
 	if got := Append(nil, []byte("abc")); !bytes.Equal(got, want) {
 		t.Fatalf("Append(abc) = % x, want % x", got, want)
 	}
+}
+
+// goldenRecord is a fixed record whose AppendRecord bytes are pinned:
+// journal and queue records must come out the same whether their
+// compressor is fresh or reused, so existing files keep reading.
+type goldenRecord struct {
+	Kind    string
+	Ordinal int
+	Tags    []string
+}
+
+func TestAppendRecordGolden(t *testing.T) {
+	const want = "490000001f8b08000000000000ffaa56f2cecc4b51b2522a4a2d2ecd2951d251f22f4ac9cc4bcc51b23231d2510a494c2f56b28a567254d2514a2b568aade502040000ffffebf96860310000001e62b06d"
+	rec := goldenRecord{"result", 42, []string{"A", "fs"}}
+	// Several calls, one after a failed encode, so both fresh and
+	// reused compressors are covered.
+	for i := 0; i < 3; i++ {
+		if i == 2 {
+			if _, err := AppendRecord(nil, map[string]any{"bad": make(chan int)}); err == nil {
+				t.Fatal("encoding a channel succeeded")
+			}
+		}
+		got, err := AppendRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := hex.EncodeToString(got); h != want {
+			t.Fatalf("call %d: AppendRecord = %s, want %s", i, h, want)
+		}
+		payload, err := Read(bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back goldenRecord
+		if err := DecodeRecord(payload, &back); err != nil || !reflect.DeepEqual(back, rec) {
+			t.Fatalf("call %d: DecodeRecord = %+v, %v", i, back, err)
+		}
+	}
+}
+
+// TestRecordCodecConcurrent: the pooled compressors are never shared
+// by two callers at once; run it under -race.
+func TestRecordCodecConcurrent(t *testing.T) {
+	want, err := AppendRecord(nil, goldenRecord{"result", 42, []string{"A", "fs"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				rec := goldenRecord{"result", 42, []string{"A", "fs"}}
+				if i%2 == 1 {
+					rec = goldenRecord{"lease", g*100 + i, nil}
+				}
+				b, err := AppendRecord(nil, rec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 && !bytes.Equal(b, want) {
+					t.Errorf("goroutine %d: record %d changed bytes", g, i)
+					return
+				}
+				var back goldenRecord
+				if err := DecodeRecord(b[4:len(b)-4], &back); err != nil || !reflect.DeepEqual(back, rec) {
+					t.Errorf("goroutine %d: record %d decoded as %+v, %v", g, i, back, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestReadEndings(t *testing.T) {

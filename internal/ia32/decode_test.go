@@ -310,3 +310,33 @@ func TestEncodeBranchForms(t *testing.T) {
 		t.Fatalf("call: % x, %v", b, err)
 	}
 }
+
+// FuzzDecode feeds the decoder what a flipped instruction byte can
+// make of kernel text: any bytes must decode to an instruction whose
+// length fits the input and the architectural limit, or to an error,
+// and an instruction the encoder can express must decode back from
+// its encoding unchanged. The committed corpus holds the table tests'
+// encodings and the paper's Table 6 and 7 reframings.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		inst, err := Decode(b)
+		if err != nil {
+			return
+		}
+		if inst.Len < 1 || int(inst.Len) > min(len(b), MaxInstLen) {
+			t.Fatalf("Decode(% x).Len = %d", b, inst.Len)
+		}
+		code, err := Encode(inst)
+		if err != nil {
+			return
+		}
+		re, err := Decode(code)
+		if err != nil {
+			t.Fatalf("% x -> %+v -> % x: %v", b, inst, code, err)
+		}
+		inst.Len, re.Len = 0, 0
+		if re != inst {
+			t.Fatalf("% x -> %+v -> % x -> %+v", b, inst, code, re)
+		}
+	})
+}

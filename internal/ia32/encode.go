@@ -391,12 +391,12 @@ func encode(i Inst, o encOpts) ([]byte, error) {
 		}
 		return cat([]byte{0xFF}, mrm), nil
 	case OpRet:
-		if i.HasImm && i.Imm != 0 {
+		if i.HasImm {
 			return []byte{0xC2, byte(i.Imm), byte(i.Imm >> 8)}, nil
 		}
 		return []byte{0xC3}, nil
 	case OpLret:
-		if i.HasImm && i.Imm != 0 {
+		if i.HasImm {
 			return []byte{0xCA, byte(i.Imm), byte(i.Imm >> 8)}, nil
 		}
 		return []byte{0xCB}, nil

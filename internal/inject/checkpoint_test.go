@@ -84,9 +84,10 @@ func TestCheckpointParityCampaignB(t *testing.T) {
 	t.Logf("parity over %d targets, %d served from checkpoint", len(targets), replayed)
 }
 
-// TestCheckpointSynthesizesNotActivated: once the record run shows a PC
-// is never reached, sibling targets must be answered without running
-// the machine at all, and must still match the full-replay reference.
+// TestCheckpointSynthesizesNotActivated: every target at a PC the
+// golden run never reached, the first at the PC as well as its
+// siblings, is answered without running the machine, caches no
+// checkpoint, and still matches the full-replay reference.
 func TestCheckpointSynthesizesNotActivated(t *testing.T) {
 	ckpt, ref := newRunnersT(t)
 	fn, _ := ckpt.M.Prog.FuncByName("cpu_idle")
@@ -95,24 +96,22 @@ func TestCheckpointSynthesizesNotActivated(t *testing.T) {
 		{Func: fn, InstAddr: fn.Addr, InstLen: 2, ByteOff: 0, Bit: 5},
 		{Func: fn, InstAddr: fn.Addr, InstLen: 2, ByteOff: 1, Bit: 3},
 	}
-	runParity(t, ckpt, ref, CampaignA, targets)
-
-	if ckpt.cur == nil || ckpt.cur.cp != nil {
-		t.Fatal("never-activated PC should be cached with a nil checkpoint")
+	for i, tg := range targets {
+		before := ckpt.M.CPU.Cycles
+		got, gf := ckpt.RunTarget(CampaignA, tg)
+		if ckpt.M.CPU.Cycles != before {
+			t.Fatalf("target %d: a never-reached target ran the machine", i)
+		}
+		want, wf := ref.RunTarget(CampaignA, tg)
+		if gf != nil || wf != nil {
+			t.Fatalf("target %d: faults ckpt=%v ref=%v", i, gf, wf)
+		}
+		if got.Outcome != OutcomeNotActivated || !reflect.DeepEqual(got, want) {
+			t.Fatalf("target %d diverged:\nsynthesized %+v\nfull-replay %+v", i, got, want)
+		}
 	}
-	// The siblings after the first must be synthesized: no machine
-	// activity, so the cycle counter stays wherever the record run
-	// left it.
-	before := ckpt.M.CPU.Cycles
-	res, hf := ckpt.RunTarget(CampaignA, targets[1])
-	if hf != nil {
-		t.Fatalf("synthesized run faulted: %v", hf)
-	}
-	if res.Outcome != OutcomeNotActivated {
-		t.Fatalf("outcome = %v, want not activated", res.Outcome)
-	}
-	if ckpt.M.CPU.Cycles != before {
-		t.Fatal("synthesized Not Activated ran the machine")
+	if ckpt.cur != nil {
+		t.Fatal("a never-reached PC cached a checkpoint")
 	}
 }
 

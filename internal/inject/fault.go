@@ -31,10 +31,12 @@ const (
 	// breaker opened; the target is quarantined like an exhausted
 	// in-process retry.
 	FaultWorkerDeath FaultKind = "worker-death"
-	// FaultReplayDiverged — a checkpointed replay's engine issued an
-	// operation that does not match the recorded prefix. The cached
-	// checkpoint is discarded and the retry (on a fresh runner)
-	// re-records from the pristine snapshot.
+	// FaultReplayDiverged — the run left its golden path: a
+	// checkpointed replay's engine issued an operation that does not
+	// match the recorded prefix, or a record run never reached a PC
+	// the golden run executed. The cached checkpoint is discarded and
+	// the retry (on a fresh runner) re-records from the pristine
+	// snapshot.
 	FaultReplayDiverged FaultKind = "replay-diverged"
 	// FaultArm — an armed fault model (syscall, disk) could not
 	// install its fault on the restored machine; the run never

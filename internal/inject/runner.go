@@ -106,12 +106,19 @@ type Runner struct {
 	// incompatible with the per-PC cache (CheckpointDisabled).
 	cpReason string
 
-	// checkpointing enables checkpoint-at-breakpoint reuse: the first
-	// run of each activation PC records the prefix and captures a
-	// machine checkpoint at the breakpoint; subsequent targets at the
-	// same PC replay from the checkpoint (activation-to-outcome only).
-	// Results are byte-identical either way.
+	// checkpointing enables checkpoint-at-breakpoint reuse: a target
+	// at a PC the golden run never reached is answered from cov; the
+	// first run of each other activation PC records the prefix and
+	// captures a machine checkpoint at the breakpoint; subsequent
+	// targets at the same PC replay from the checkpoint
+	// (activation-to-outcome only). Results are byte-identical either
+	// way.
 	checkpointing bool
+	// cov is the golden run's coverage of kernel text, recorded when
+	// checkpointing is on. It is nil when the golden run changed a
+	// page a text window can read, so that a never-run target's
+	// windows would not be the pristine bytes.
+	cov *cpu.Coverage
 	// cur caches the checkpoint for the most recently recorded
 	// activation PC. Targets arrive grouped by PC (EnumerateTargets
 	// emits the bytes and bits of one instruction consecutively, in
@@ -200,9 +207,15 @@ func (r *Runner) CheckpointDisabled() (bool, string) {
 // injection point for case studies.
 const windowSize = 16
 
+// The golden run's coverage spans all kernel text, lib included.
+const (
+	textBase = kernel.TextArch
+	textSpan = kernel.TextLib + kernel.TextSize - kernel.TextArch
+)
+
 // NewRunner boots a machine, performs the golden (fault-free) run to
-// record the reference trace and disk image, and prepares the pristine
-// snapshot used between experiments.
+// record the reference trace, disk image and text coverage, and
+// prepares the pristine snapshot used between experiments.
 func NewRunner(ws []kernel.Workload) (*Runner, error) {
 	m, err := kernel.Boot()
 	if err != nil {
@@ -211,13 +224,11 @@ func NewRunner(ws []kernel.Workload) (*Runner, error) {
 	return newRunnerFromMachine(m, ws, RunnerOptions{})
 }
 
-// cpEntry is the per-PC checkpoint cache entry. cp == nil records that
-// the PC never activates under the golden workload: every sibling
-// target's Not Activated result is synthesized without running.
+// cpEntry is the per-PC checkpoint cache entry: the checkpoint the
+// first target's record run captured at the PC's breakpoint.
 type cpEntry struct {
-	pc         uint32
-	cp         *kernel.Checkpoint
-	origWindow []byte
+	pc uint32
+	cp *kernel.Checkpoint
 }
 
 func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOptions) (*Runner, error) {
@@ -235,6 +246,10 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 	r.snap = m.TakeSnapshot()
 	m.CPU.Stop = &r.stop
 	m.CPU.DisableBlocks = opts.NoBlocks
+	var cov *cpu.Coverage
+	if r.checkpointing {
+		cov = cpu.NewCoverage(textBase, textSpan)
+	}
 
 	// Count the golden run's syscalls (the enumeration space of the
 	// syscall error-return model). The observer returns handled=false,
@@ -245,7 +260,9 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 		return 0, false
 	}
 	wallStart := time.Now()
+	m.CPU.Coverage = cov
 	res := m.RunWorkloads(ws, 1<<40)
+	m.CPU.Coverage = nil
 	m.SyscallHook = nil
 	if res.Err != nil {
 		return nil, fmt.Errorf("inject: golden run failed: %w", res.Err)
@@ -265,11 +282,17 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 	// The golden run's dirty set, intersected with the ramdisk, is
 	// exactly where goldenImg differs from the snapshot state; the
 	// incremental disk comparison must always revisit those pages.
+	// Intersected with text, it must be empty for a never-run
+	// target's windows to be the pristine bytes.
 	r.goldenDiskDirty = make(map[uint32]struct{})
 	if diff, ok := m.PagesChangedSince(r.snap); ok {
+		r.cov = cov
 		for pn := range diff {
 			if pn >= ramdiskFirstPage && pn < ramdiskEndPage {
 				r.goldenDiskDirty[pn] = struct{}{}
+			}
+			if pn >= textFirstPage && pn < textEndPage {
+				r.cov = nil
 			}
 		}
 	}
@@ -301,12 +324,14 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 // Use SafeRunTarget to also isolate Go panics and arm the wall-clock
 // watchdog.
 //
-// With checkpointing enabled (the default), the first target at each
+// With checkpointing enabled (the default), a target at a PC the
+// golden run never reached has its Not Activated result synthesized
+// without running: the run would be the golden run, whose coverage
+// shows the breakpoint cannot fire. The first target at each other
 // activation PC runs in full while recording, capturing a machine
 // checkpoint at the breakpoint; subsequent targets at the same PC
-// replay from the checkpoint, or — when the PC never activates — have
-// their Not Activated result synthesized without running. Results are
-// byte-identical to full runs in every mode.
+// replay from the checkpoint. Results are byte-identical to full runs
+// in every mode.
 func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
 	if am, ok := r.model.(ArmedModel); ok {
 		return r.armedTarget(am, c, t)
@@ -314,13 +339,25 @@ func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
 	if !r.checkpointing {
 		return r.fullTarget(c, t, false)
 	}
+	if reached, known := r.GoldenReached(t.InstAddr); known && !reached {
+		return r.synthNotActivated(c, t), nil
+	}
 	if r.cur != nil && r.cur.pc == t.InstAddr {
-		if r.cur.cp == nil {
-			return r.synthNotActivated(c, t), nil
-		}
 		return r.replayTarget(c, t)
 	}
 	return r.fullTarget(c, t, true)
+}
+
+// GoldenReached reports whether the golden run started an instruction
+// at pc; known is false when its coverage cannot tell (checkpointing is
+// off, the golden run changed a text page, or pc lies outside kernel
+// text). A point-model target at a known, unreached pc is answered
+// without running.
+func (r *Runner) GoldenReached(pc uint32) (reached, known bool) {
+	if r.cov == nil {
+		return false, false
+	}
+	return r.cov.Started(pc)
 }
 
 // armedTarget executes a target of an ArmedModel (syscall, disk):
@@ -356,10 +393,8 @@ func (r *Runner) fullTarget(c Campaign, t Target, record bool) (Result, *Harness
 	r.cur = nil
 	m.Restore(r.snap)
 
-	res := Result{Campaign: c, Target: t, Severity: SeverityNone}
-	if w, err := m.Mem.ReadRaw(t.InstAddr, windowSize); err == nil {
-		res.OrigWindow = w
-	}
+	res := Result{Campaign: c, Target: t, Severity: SeverityNone,
+		OrigWindow: r.pristineWindow(t.InstAddr)}
 
 	var kcp *kernel.Checkpoint
 	if record {
@@ -390,11 +425,14 @@ func (r *Runner) fullTarget(c Campaign, t Target, record bool) (Result, *Harness
 
 	hf := r.finishRun(&res, run, t, bpFault)
 	if record && hf == nil {
-		// kcp == nil here means the breakpoint never fired: the PC is
-		// not activated by the golden workload, so neither are any of
-		// its sibling targets.
-		r.cur = &cpEntry{pc: t.InstAddr, cp: kcp,
-			origWindow: append([]byte(nil), res.OrigWindow...)}
+		if kcp != nil {
+			r.cur = &cpEntry{pc: t.InstAddr, cp: kcp}
+		} else if reached, _ := r.GoldenReached(t.InstAddr); reached {
+			// Until its breakpoint fires a run is the golden run, so
+			// this one left its golden path.
+			return res, newFault(FaultReplayDiverged, t,
+				"the run left its golden path: the golden run reached %#x, the record run never did", t.InstAddr)
+		}
 	}
 	return res, hf
 }
@@ -405,8 +443,8 @@ func (r *Runner) fullTarget(c Campaign, t Target, record bool) (Result, *Harness
 func (r *Runner) replayTarget(c Campaign, t Target) (Result, *HarnessFault) {
 	m := r.M
 	e := r.cur
-	res := Result{Campaign: c, Target: t, Severity: SeverityNone}
-	res.OrigWindow = append([]byte(nil), e.origWindow...)
+	res := Result{Campaign: c, Target: t, Severity: SeverityNone,
+		OrigWindow: r.pristineWindow(t.InstAddr)}
 
 	pm := r.model.(PointModel)
 	var bpFault *HarnessFault
@@ -428,16 +466,23 @@ func (r *Runner) replayTarget(c Campaign, t Target) (Result, *HarnessFault) {
 	return res, hf
 }
 
-// synthNotActivated builds the Not Activated result for a sibling of a
-// recorded PC that the golden workload never executes. Activation
-// depends only on whether the breakpoint PC is reached, which the
-// record run already established; kernel text is never modified by a
-// clean run, so the windows are the pristine bytes.
+// synthNotActivated builds the Not Activated result of a target whose
+// PC the golden run never reached. Activation depends only on whether
+// the breakpoint PC is reached, and the golden run, which changed no
+// text page, already showed it is not; so both windows are the
+// pristine bytes.
 func (r *Runner) synthNotActivated(c Campaign, t Target) Result {
-	res := Result{Campaign: c, Target: t, Severity: SeverityNone, Outcome: OutcomeNotActivated}
-	res.OrigWindow = append([]byte(nil), r.cur.origWindow...)
-	res.CorruptWindow = append([]byte(nil), r.cur.origWindow...)
-	return res
+	w := r.pristineWindow(t.InstAddr)
+	return Result{Campaign: c, Target: t, Severity: SeverityNone, Outcome: OutcomeNotActivated,
+		OrigWindow: w, CorruptWindow: bytes.Clone(w)}
+}
+
+// pristineWindow returns the windowSize bytes at addr in the pristine
+// snapshot, the case-study window every result carries from before
+// its fault; nil when they are not all mapped.
+func (r *Runner) pristineWindow(addr uint32) []byte {
+	w, _ := r.snap.ReadRaw(addr, windowSize) // nil on a fault
+	return w
 }
 
 // finishRun is the classification tail shared by full, record and
@@ -555,10 +600,13 @@ func (r *Runner) classifyCompleted(res *Result, run *kernel.RunResult) {
 	res.Outcome = OutcomeNotManifested
 }
 
-// Ramdisk page-number range, for intersecting dirty sets with the disk.
+// Ramdisk and text page-number ranges, for intersecting dirty sets
+// with the disk and with the pages a text window can read.
 const (
 	ramdiskFirstPage = uint32(kernel.RamdiskBase) >> kernel.PageShift
 	ramdiskEndPage   = ramdiskFirstPage + kernel.RamdiskSize/kernel.PageSize
+	textFirstPage    = uint32(textBase) >> kernel.PageShift
+	textEndPage      = (textBase + textSpan + windowSize + kernel.PageSize - 1) >> kernel.PageShift
 )
 
 // diskCandidates returns the ramdisk page numbers where the live disk

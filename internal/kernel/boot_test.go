@@ -1,9 +1,12 @@
 package kernel
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/ext2"
 )
 
@@ -53,6 +56,43 @@ func TestAssemble(t *testing.T) {
 		if f.Size == 0 {
 			t.Errorf("function %s has zero size", fn)
 		}
+	}
+}
+
+// TestParallelBootsShareProgram: concurrent boots, as parallel workers
+// and retry reboots make them, share one linked program, and it equals
+// a fresh assembly. Run under -race it also shows that boots only read
+// it.
+func TestParallelBootsShareProgram(t *testing.T) {
+	progs := make([]*asm.Program, 4)
+	errs := make([]error, len(progs))
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := Boot()
+			if err == nil {
+				progs[i] = m.Prog
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("boot %d: %v", i, err)
+		}
+		if progs[i] != progs[0] {
+			t.Fatalf("boot %d linked its own program", i)
+		}
+	}
+	fresh, err := Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(progs[0], fresh) {
+		t.Fatal("the shared program differs from a fresh assembly")
 	}
 }
 

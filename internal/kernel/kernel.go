@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
@@ -145,9 +146,14 @@ func Boot() (*Machine, error) {
 	return BootWithTree(DefaultTree())
 }
 
+// linkedProgram is the kernel image every boot in the process shares:
+// assembling costs about as much as the rest of a boot, and nothing
+// writes a Program once it is linked.
+var linkedProgram = sync.OnceValues(Assemble)
+
 // BootWithTree boots with a specific root file system tree.
 func BootWithTree(files map[string][]byte) (*Machine, error) {
-	prog, err := Assemble()
+	prog, err := linkedProgram()
 	if err != nil {
 		return nil, err
 	}
@@ -544,6 +550,12 @@ type Snapshot struct {
 // TakeSnapshot snapshots memory and the cycle counter.
 func (m *Machine) TakeSnapshot() *Snapshot {
 	return &Snapshot{mem: m.Mem.TakeSnapshot(), cycles: m.CPU.Cycles}
+}
+
+// ReadRaw returns size bytes at addr as they were when s was taken,
+// without restoring it.
+func (s *Snapshot) ReadRaw(addr, size uint32) ([]byte, error) {
+	return s.mem.ReadRaw(addr, size)
 }
 
 // PagesChangedSince returns a conservative superset of the page

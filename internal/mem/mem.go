@@ -733,9 +733,15 @@ func (m *Memory) ReadRawInto(addr uint32, out []byte) error {
 	if m.watch != nil {
 		m.observe(addr, uint32(len(out)), AccessRead)
 	}
+	return readRaw(m.pages, addr, out)
+}
+
+// readRaw copies pages' content at addr into out, ignoring
+// permissions.
+func readRaw(pages map[uint32]*page, addr uint32, out []byte) error {
 	for i := 0; i < len(out); {
 		a := addr + uint32(i)
-		p, ok := m.pages[a>>pageShift]
+		p, ok := pages[a>>pageShift]
 		if !ok {
 			return &Fault{Addr: a, Access: AccessRead, NotPresent: true}
 		}
@@ -779,6 +785,16 @@ type Snapshot struct {
 // Gen returns the snapshot's generation tag (creation order, starting
 // at 1 for each Memory).
 func (s *Snapshot) Gen() uint64 { return s.gen }
+
+// ReadRaw returns size bytes at addr as they were when s was taken:
+// what Memory.ReadRaw returns right after restoring s.
+func (s *Snapshot) ReadRaw(addr, size uint32) ([]byte, error) {
+	out := make([]byte, size)
+	if err := readRaw(s.pages, addr, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // TakeSnapshot captures the current state and resets dirty tracking.
 // No page data is copied: the live pages are marked shared (immutable)
