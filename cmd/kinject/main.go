@@ -121,7 +121,7 @@ func run(args []string) error {
 	journalPath := fs.String("journal", "", "stream results to this append-only journal")
 	resumePath := fs.String("resume", "", "resume an interrupted study from this journal")
 	runTimeout := fs.Duration("run-timeout", 0, "wall-clock watchdog per injection run (0 = derive from the golden run)")
-	checkpoint := fs.Bool("checkpoint", true, "reuse a machine checkpoint captured at each activation PC across that PC's injections, and answer injections at PCs the golden run never reached from its coverage without running them (results are identical either way)")
+	checkpoint := fs.Bool("checkpoint", true, "reuse a machine checkpoint captured at each activation event (a PC's breakpoint, the Nth call of a syscall) across the injections that share it, and answer injections at PCs the golden run never reached from its coverage without running them (results are identical either way)")
 	blocks := fs.Bool("blocks", true, "execute via the CPU's superblock trace engine (results are identical either way)")
 	maxRetries := fs.Int("max-retries", core.DefaultMaxRetries, "harness-fault retries before a target is quarantined")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the study to this file")
@@ -370,7 +370,7 @@ func run(args []string) error {
 	if model.Name() != inject.ModelBitflip {
 		fmt.Printf("fault model: %s — %s\n", model.Name(), model.Describe())
 		if off, reason := s.Runner.CheckpointDisabled(); off {
-			fmt.Printf("checkpoint-at-breakpoint disabled: %s\n", reason)
+			fmt.Printf("checkpoint reuse disabled: %s\n", reason)
 		}
 	}
 	fmt.Printf("golden run: %d cycles; watchdog budget: %d cycles\n",
@@ -421,8 +421,8 @@ func run(args []string) error {
 
 // printModels renders the fault-model registry: one line of
 // description per model plus its campaign set and whether the
-// checkpoint-at-breakpoint fast path applies (and, when it does not,
-// the model's typed reason).
+// checkpoint layer applies (and, when it does not, the model's typed
+// reason).
 func printModels(w io.Writer) {
 	fmt.Fprintln(w, "registered fault models (-fault-model):")
 	for _, m := range inject.Models() {
@@ -433,9 +433,9 @@ func printModels(w io.Writer) {
 		}
 		fmt.Fprintf(w, "           campaigns: %s\n", keys)
 		if cs := m.Checkpoint(); cs.Compatible {
-			fmt.Fprintf(w, "           checkpoint-at-breakpoint: reused across same-PC targets\n")
+			fmt.Fprintf(w, "           checkpoint: reused across targets with the same activation event\n")
 		} else {
-			fmt.Fprintf(w, "           checkpoint-at-breakpoint: disabled — %s\n", cs.Reason)
+			fmt.Fprintf(w, "           checkpoint: disabled — %s\n", cs.Reason)
 		}
 	}
 }

@@ -41,43 +41,59 @@ func machineDiff(ma, mb *kernel.Machine, sa, sb *kernel.Snapshot) string {
 	return ""
 }
 
-// TestFastForwardFinalStateOracle runs three studies twice: on the
-// study's runner, which fast-forwards hangs, and on a second runner
-// whose GoldenCycles is zero, so it simulates every cycle. After every
-// run the Results and the final machine states must be identical. A
-// ResultSet does not record a hang's cycle count, so the machine
-// comparison is what catches a jump that lands whole periods off. Each
-// study must also actually jump some of its hangs, so the oracle cannot
-// pass vacuously.
+// TestFastForwardFinalStateOracle runs studies twice: on the study's
+// runner, which fast-forwards hangs and replays checkpoints, and on a
+// reference runner. The reference either has GoldenCycles zero, so it
+// simulates every cycle, or checkpointing off, so it runs every target
+// in full from the pristine snapshot. After every run the Results and
+// the final machine states must be identical. A ResultSet does not
+// record a hang's cycle count, so the machine comparison is what
+// catches a jump that lands whole periods off, or a replay that resumes
+// from a wrongly restored state. The fast-forward studies must also
+// actually jump some of their hangs, so the oracle cannot pass
+// vacuously; inject's TestSyscallCheckpointCensus counts the replays of
+// the checkpoint studies.
 func TestFastForwardFinalStateOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three studies, twice each")
+		t.Skip("five studies, twice each")
 	}
 	cases := []struct {
+		name       string
 		model      string
+		scale      int
 		maxTargets int
 		minJumped  int
+		// noCheckpoint makes the reference a NoCheckpoint runner that
+		// fast-forwards like the study's.
+		noCheckpoint bool
 	}{
-		{"bitflip", 2, 15}, // every function at -max-targets 2: 379 runs, 32 hangs, 19 jumped
-		{"syscall", 0, 5},  // the full syscall target list at scale 1: 6 hangs, 6 jumped
-		{"disk", 2, 0},
+		{"bitflip", "bitflip", 1, 2, 15, false}, // every function at -max-targets 2: 379 runs, 32 hangs, 19 jumped
+		{"syscall", "syscall", 1, 0, 5, false},  // the full syscall target list at scale 1: 6 hangs, 6 jumped
+		{"disk", "disk", 1, 2, 0, false},
+		{"syscall-checkpoint", "syscall", 1, 0, 0, true},    // 76 of 114 runs replay
+		{"syscall-checkpoint-s3", "syscall", 3, 0, 0, true}, // 90 of 135 runs replay
 	}
 	for _, tc := range cases {
-		t.Run(tc.model, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.FaultModel = tc.model
 			cfg.Campaigns = nil // the model's own campaigns
+			cfg.Scale = tc.scale
 			cfg.MaxTargetsPerFunc = tc.maxTargets
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ff := s.Runner
-			ref, err := inject.NewRunnerWithOptions(s.ws, s.runnerOptions())
+			opts := s.runnerOptions()
+			opts.NoCheckpoint = tc.noCheckpoint
+			ref, err := inject.NewRunnerWithOptions(s.ws, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.M.GoldenCycles = 0
+			if !tc.noCheckpoint {
+				ref.M.GoldenCycles = 0
+			}
 			// Each runner restores its own pristine snapshot before every
 			// run; these equal it, and the page comparison is relative to
 			// them.
@@ -96,7 +112,7 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 						t.Fatalf("%v:%d: harness faults %v / %v", c, i, gf, wf)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v:%d (%s): results differ:\nfast-forward %+v\nreference    %+v", c, i, tg.Func.Name, got, want)
+						t.Fatalf("%v:%d (%s): results differ:\nstudy     %+v\nreference %+v", c, i, tg.Func.Name, got, want)
 					}
 					if d := machineDiff(ff.M, ref.M, sff, sref); d != "" {
 						t.Fatalf("%v:%d (%s, %v): final machine states differ in %s", c, i, tg.Func.Name, got.Outcome, d)

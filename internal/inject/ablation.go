@@ -51,8 +51,8 @@ func DisableAssertions(m *kernel.Machine) (int, error) {
 // and the reference arms for parity testing. The zero value is the
 // fast engine, and the JSON form is part of the worker hello frame.
 type EngineOptions struct {
-	// NoCheckpoint disables checkpoint-at-breakpoint reuse, forcing
-	// every target to run from the pristine boot snapshot.
+	// NoCheckpoint disables checkpoint reuse and coverage answers,
+	// forcing every target to run from the pristine boot snapshot.
 	NoCheckpoint bool
 	// NoBlocks disables the CPU's superblock trace-execution engine,
 	// forcing per-instruction interpretation.
@@ -69,7 +69,8 @@ type RunnerOptions struct {
 	// golden run's wall time).
 	RunTimeout time.Duration
 	// Model is the fault model the runner executes targets for (nil =
-	// bitflip). Models whose activation is not a PC breakpoint disable
+	// bitflip). Its ActivationKey decides which targets share a
+	// checkpoint; a model without a golden prefix (disk) disables
 	// checkpointing with a typed reason (Runner.CheckpointDisabled).
 	Model FaultModel
 	// EngineOptions select the execution engine.

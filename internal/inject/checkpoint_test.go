@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/unixbench"
 )
 
@@ -110,7 +111,7 @@ func TestCheckpointSynthesizesNotActivated(t *testing.T) {
 			t.Fatalf("target %d diverged:\nsynthesized %+v\nfull-replay %+v", i, got, want)
 		}
 	}
-	if ckpt.cur != nil {
+	if len(ckpt.cps) != 0 {
 		t.Fatal("a never-reached PC cached a checkpoint")
 	}
 }
@@ -149,5 +150,77 @@ func TestCheckpointInvalidatedOnNewPC(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d diverged:\ncheckpointed %+v\nfull-replay  %+v", i, got, want)
 		}
+		if len(ckpt.cps) != 1 || ckpt.cps[0].key.Group != uint64(s.tg.InstAddr) {
+			t.Fatalf("step %d: the cache holds %d checkpoints, want only the current PC's", i, len(ckpt.cps))
+		}
+	}
+}
+
+// TestSyscallCheckpointCensus runs the syscall model's full target list
+// at scales 1 and 3 and counts the targets served from a checkpoint
+// captured at an earlier target's syscall boundary: the three errnos
+// forced at one (nr, N) share it, so two of every three must replay.
+// The cache must only ever hold the current syscall number's
+// checkpoints. The core package's final-state oracle compares these
+// runs with full runs.
+func TestSyscallCheckpointCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the syscall model's full target list, twice")
+	}
+	for _, tc := range []struct {
+		scale       unixbench.Scale
+		minReplayed int
+	}{{1, 76}, {3, 90}} {
+		r, err := NewRunnerWithOptions(unixbench.Suite(tc.scale), RunnerOptions{Model: syscallModel{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets, err := syscallModel{}.Enumerate(EnumContext{Prog: r.M.Prog, SyscallCounts: r.GoldenSyscallCounts()},
+			CampaignA, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed := 0
+		for i, tg := range targets {
+			key := syscallModel{}.ActivationKey(tg)
+			for _, e := range r.cps {
+				if e.key == key {
+					replayed++
+				}
+			}
+			if _, hf := r.RunTarget(CampaignA, tg); hf != nil {
+				t.Fatalf("scale %d target %d (%s): %v", tc.scale, i, tg.Describe(), hf)
+			}
+			if len(r.cps) > 3 {
+				t.Fatalf("scale %d target %d: %d checkpoints cached, want at most 3", tc.scale, i, len(r.cps))
+			}
+			for _, e := range r.cps {
+				if e.key.Group != key.Group {
+					t.Fatalf("scale %d target %d: the cache kept syscall %d's checkpoint", tc.scale, i, e.key.Group)
+				}
+			}
+		}
+		t.Logf("scale %d: %d targets, %d recorded, %d replayed", tc.scale, len(targets), len(targets)-replayed, replayed)
+		if replayed < tc.minReplayed {
+			t.Fatalf("scale %d: %d of %d targets replayed, want at least %d", tc.scale, replayed, len(targets), tc.minReplayed)
+		}
+	}
+}
+
+// TestRecordRunMissingSyscallFaults: a syscall record run that never
+// makes call N, although the golden run did, has left its golden path.
+// It must surface as a harness fault, never as a Not Activated result.
+func TestRecordRunMissingSyscallFaults(t *testing.T) {
+	r := newModelRunnerT(t, syscallModel{})
+	fn, _ := r.M.Prog.FuncByName("sys_write")
+	tg := Target{Model: ModelSyscall, Func: fn,
+		SysNr: kernel.SysWrite, SysName: "sys_write", Errno: kernel.EIO, Occurrence: 1}
+	if r.GoldenSyscallCounts()[kernel.SysWrite] < tg.Occurrence {
+		t.Fatal("golden run never called write")
+	}
+	r.Workloads = nil // the record run now executes no workload
+	_, hf := r.RunTarget(CampaignA, tg)
+	if hf == nil || hf.Kind != FaultReplayDiverged {
+		t.Fatalf("fault = %v, want %s", hf, FaultReplayDiverged)
 	}
 }

@@ -23,16 +23,26 @@ const (
 )
 
 // CheckpointStatus is a fault model's declared compatibility with the
-// checkpoint-at-breakpoint path. Models whose activation is a PC
-// breakpoint (the fault is applied at a recorded instruction address)
-// can reuse the per-PC checkpoint cache; models whose activation is
-// not PC-keyed must disable it with a typed Reason — the runner never
-// silently reuses a stale per-PC cache for them.
+// checkpoint layer. A model whose fault takes effect at an activation
+// event (a PC breakpoint, the Nth call of a syscall) is compatible:
+// until that event a run is the golden run, so one checkpoint captured
+// there serves every target with the same ActivationKey. A model whose
+// fault is present before the run starts (disk) has no golden prefix
+// and disables checkpointing with a typed Reason.
 type CheckpointStatus struct {
 	Compatible bool
 	// Reason states why checkpoint reuse is unsound when Compatible is
-	// false (e.g. "activation is a syscall occurrence, not a PC").
+	// false.
 	Reason string
+}
+
+// ActivationKey names the event at which a target's fault takes
+// effect; targets with equal keys share the run up to it. Group is a
+// point model's breakpoint PC, or the syscall model's syscall number;
+// Event tells one group's events apart (the syscall occurrence).
+type ActivationKey struct {
+	Group uint64
+	Event uint64
 }
 
 // EnumContext is everything a fault model may consult while
@@ -53,8 +63,9 @@ type EnumContext struct {
 // FaultModel owns one class of injected error end to end: which
 // targets exist (Enumerate), how the fault is applied and when it
 // counts as activated (PointModel.Apply at a PC breakpoint, or
-// ArmedModel.Arm before the run), and whether the
-// checkpoint-at-breakpoint fast path is sound for it (Checkpoint).
+// ArmedModel.Arm before the run), and whether the checkpoint layer is
+// sound for it (Checkpoint) and which targets share a checkpoint
+// (ActivationKey).
 // Every registered model must also implement exactly one of
 // PointModel or ArmedModel.
 type FaultModel interface {
@@ -63,8 +74,12 @@ type FaultModel interface {
 	Name() string
 	// Describe is a one-line human description (kinject -list-models).
 	Describe() string
-	// Checkpoint declares checkpoint-at-breakpoint compatibility.
+	// Checkpoint declares checkpoint compatibility.
 	Checkpoint() CheckpointStatus
+	// ActivationKey names t's activation event. The runner keeps the
+	// checkpoints of one key group at a time; it never asks a model
+	// whose Checkpoint is incompatible.
+	ActivationKey(t Target) ActivationKey
 	// Campaigns lists the campaigns the model gives meaning to; it is
 	// the default selection when no -campaigns flag is given. Enumerate
 	// returns an empty list (no error) for other campaigns.
@@ -78,8 +93,8 @@ type FaultModel interface {
 // PointModel is implemented by models whose activation point is a PC
 // breakpoint: the runner arms a debug register at Target.InstAddr and
 // calls Apply when it fires, mutating machine state (instruction
-// bytes, a CPU register, a kernel data word). These models reuse the
-// checkpoint-at-breakpoint cache.
+// bytes, a CPU register, a kernel data word). Their checkpoints are
+// captured at the breakpoint and keyed on its PC (atPC).
 type PointModel interface {
 	FaultModel
 	// Apply injects the fault into the machine stopped at the
@@ -88,12 +103,12 @@ type PointModel interface {
 	Apply(m *kernel.Machine, t Target) error
 }
 
-// ArmedModel is implemented by models whose activation is not keyed to
-// a PC (a syscall occurrence, a disk medium fault): Arm installs the
-// fault before the workloads run and reports activation afterwards.
-// The runner always executes these targets as full runs from the
-// pristine snapshot — the per-PC checkpoint cache is explicitly
-// disabled (see Checkpoint).
+// ArmedModel is implemented by models whose activation is not a PC
+// breakpoint (a syscall occurrence, a disk medium fault): Arm installs
+// the fault before the workloads run and reports activation afterwards.
+// A checkpoint-compatible armed model (syscall) calls the runner's
+// Armed.OnActivate at its activation event; the runner captures the
+// checkpoint there.
 type ArmedModel interface {
 	FaultModel
 	// Arm installs the fault on the restored pristine machine.
@@ -106,6 +121,9 @@ type Armed struct {
 	Disarm func()
 	// Activated reports whether the fault fired and at which cycle.
 	Activated func() (bool, uint64)
+	// OnActivate, when the runner sets it, is called at the activation
+	// event just before the fault takes effect.
+	OnActivate func()
 }
 
 // registry holds every fault model in stable presentation order.
@@ -176,16 +194,22 @@ func subsample(ts []Target, max int) []Target {
 	return sub
 }
 
+// atPC is embedded by the point models: their activation event is the
+// breakpoint at Target.InstAddr.
+type atPC struct{}
+
+func (atPC) Checkpoint() CheckpointStatus { return CheckpointStatus{Compatible: true} }
+func (atPC) ActivationKey(t Target) ActivationKey {
+	return ActivationKey{Group: uint64(t.InstAddr)}
+}
+
 // --- bitflip: the paper's instruction single-bit flip ---
 
-type bitflipModel struct{}
+type bitflipModel struct{ atPC }
 
 func (bitflipModel) Name() string { return ModelBitflip }
 func (bitflipModel) Describe() string {
 	return "single bit flip in instruction bytes at a PC breakpoint (the paper's campaigns A/B/C)"
-}
-func (bitflipModel) Checkpoint() CheckpointStatus {
-	return CheckpointStatus{Compatible: true}
 }
 func (bitflipModel) Campaigns() []Campaign {
 	return []Campaign{CampaignA, CampaignB, CampaignC}
@@ -226,14 +250,11 @@ func flipInstBits(m *kernel.Machine, t Target, mask byte) error {
 
 // --- burst: adjacent multi-bit corruption of instruction bytes ---
 
-type burstModel struct{}
+type burstModel struct{ atPC }
 
 func (burstModel) Name() string { return ModelBurst }
 func (burstModel) Describe() string {
 	return "adjacent multi-bit burst (2-3 bits) in instruction bytes at a PC breakpoint"
-}
-func (burstModel) Checkpoint() CheckpointStatus {
-	return CheckpointStatus{Compatible: true}
 }
 func (burstModel) Campaigns() []Campaign {
 	// A = bursts in non-branch instructions, B = bursts in conditional

@@ -13,8 +13,8 @@ import (
 // ext2-lite root file system: a dead sector (0xFF fill), a torn write
 // (half-committed block), or a flaky sector (seeded bit rot). The
 // fault is applied to the pristine boot image before the workloads
-// run; there is no activation PC, so the checkpoint cache is disabled
-// with a typed reason.
+// run, so no run shares a golden prefix with another and the
+// checkpoint layer is disabled with a typed reason.
 type diskModel struct{}
 
 // diskBlockStride spaces the targeted blocks across the ramdisk
@@ -33,10 +33,13 @@ func (diskModel) Describe() string {
 func (diskModel) Checkpoint() CheckpointStatus {
 	return CheckpointStatus{
 		Compatible: false,
-		Reason:     "the fault corrupts the boot disk image before the run; there is no activation PC to key a checkpoint on",
+		Reason:     "the fault corrupts the boot disk image before the run, so there is no golden prefix to checkpoint",
 	}
 }
 func (diskModel) Campaigns() []Campaign { return []Campaign{CampaignA} }
+
+// ActivationKey is never asked for: checkpointing is off for disk.
+func (diskModel) ActivationKey(Target) ActivationKey { return ActivationKey{} }
 
 func (diskModel) Enumerate(ctx EnumContext, c Campaign, rng *rand.Rand) ([]Target, error) {
 	if c != CampaignA {

@@ -13,7 +13,7 @@ import (
 // a kernel data word (scheduler and allocator globals). This is the
 // classic register/memory-state fault model that complements the
 // paper's instruction-stream corruption.
-type regflipModel struct{}
+type regflipModel struct{ atPC }
 
 // regflipGlobals are the kernel data words eligible for data-state
 // flips, in fixed enumeration order (scheduler state, pools, cached
@@ -27,9 +27,6 @@ var regflipGlobals = []string{
 func (regflipModel) Name() string { return ModelRegflip }
 func (regflipModel) Describe() string {
 	return "single bit flip in a CPU register or kernel data word at a PC breakpoint"
-}
-func (regflipModel) Checkpoint() CheckpointStatus {
-	return CheckpointStatus{Compatible: true}
 }
 func (regflipModel) Campaigns() []Campaign { return []Campaign{CampaignA} }
 

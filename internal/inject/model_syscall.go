@@ -11,9 +11,10 @@ import (
 // syscallModel forces error returns at the system_call boundary — the
 // software analog of debugfs fail_function: the Occurrence'th
 // invocation of a chosen syscall returns -ENOMEM, -EIO or -EFAULT
-// without running the handler. Activation is a syscall occurrence, not
-// a PC, so the checkpoint-at-breakpoint cache is disabled with a typed
-// reason rather than silently reused.
+// without running the handler. The activation event is that call: the
+// runner captures a checkpoint at its SyscallHook boundary, keyed on
+// (SysNr, Occurrence), and replays it for the other errnos forced
+// there.
 type syscallModel struct{}
 
 // syscallErrnos are the forced error returns, in fixed enumeration
@@ -24,11 +25,9 @@ func (syscallModel) Name() string { return ModelSyscall }
 func (syscallModel) Describe() string {
 	return "forced -ENOMEM/-EIO/-EFAULT error return at the system_call boundary (fail_function analog)"
 }
-func (syscallModel) Checkpoint() CheckpointStatus {
-	return CheckpointStatus{
-		Compatible: false,
-		Reason:     "activation is the Nth occurrence of a syscall, not a PC; a per-PC checkpoint cache cannot key it",
-	}
+func (syscallModel) Checkpoint() CheckpointStatus { return CheckpointStatus{Compatible: true} }
+func (syscallModel) ActivationKey(t Target) ActivationKey {
+	return ActivationKey{Group: uint64(t.SysNr), Event: t.Occurrence}
 }
 func (syscallModel) Campaigns() []Campaign { return []Campaign{CampaignA} }
 
@@ -87,20 +86,23 @@ func (syscallModel) Arm(m *kernel.Machine, t Target) (*Armed, error) {
 		activated bool
 		cycle     uint64
 	)
+	a := &Armed{
+		Disarm:    func() { m.SyscallHook = nil },
+		Activated: func() (bool, uint64) { return activated, cycle },
+	}
 	m.SyscallHook = func(nr int, args [4]uint32) (int32, bool) {
 		if activated || nr != t.SysNr {
 			return 0, false
 		}
-		count++
-		if count == t.Occurrence {
-			activated = true
-			cycle = m.CPU.Cycles
-			return -int32(t.Errno), true
+		if count++; count != t.Occurrence {
+			return 0, false
 		}
-		return 0, false
+		if a.OnActivate != nil {
+			a.OnActivate()
+		}
+		activated = true
+		cycle = m.CPU.Cycles
+		return -int32(t.Errno), true
 	}
-	return &Armed{
-		Disarm:    func() { m.SyscallHook = nil },
-		Activated: func() (bool, uint64) { return activated, cycle },
-	}, nil
+	return a, nil
 }

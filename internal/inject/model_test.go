@@ -279,9 +279,8 @@ func TestRegflipModelEndToEnd(t *testing.T) {
 
 func TestSyscallModelEndToEnd(t *testing.T) {
 	r := newModelRunnerT(t, syscallModel{})
-	off, reason := r.CheckpointDisabled()
-	if !off || reason == "" {
-		t.Fatalf("syscall model must disable checkpointing with a typed reason (off=%v reason=%q)", off, reason)
+	if off, reason := r.CheckpointDisabled(); off || !r.Checkpointing() {
+		t.Fatalf("syscall model must keep checkpointing on (off=%v reason=%q)", off, reason)
 	}
 
 	counts := r.GoldenSyscallCounts()

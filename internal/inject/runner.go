@@ -103,45 +103,48 @@ type Runner struct {
 	// belongs to (never nil; bitflip by default).
 	model FaultModel
 	// cpReason records why checkpointing is off when the model is
-	// incompatible with the per-PC cache (CheckpointDisabled).
+	// incompatible with the checkpoint layer (CheckpointDisabled).
 	cpReason string
 
-	// checkpointing enables checkpoint-at-breakpoint reuse: a target
+	// checkpointing enables the checkpoint layer: a point-model target
 	// at a PC the golden run never reached is answered from cov; the
-	// first run of each other activation PC records the prefix and
-	// captures a machine checkpoint at the breakpoint; subsequent
-	// targets at the same PC replay from the checkpoint
+	// first target at each other activation key records the golden
+	// prefix and captures a machine checkpoint at the activation event
+	// (the PC's breakpoint, or the syscall's hook boundary); later
+	// targets with the same key replay from the checkpoint
 	// (activation-to-outcome only). Results are byte-identical either
 	// way.
 	checkpointing bool
-	// cov is the golden run's coverage of kernel text, recorded when
-	// checkpointing is on. It is nil when the golden run changed a
-	// page a text window can read, so that a never-run target's
-	// windows would not be the pristine bytes.
+	// cov is the golden run's coverage of kernel text, recorded for
+	// point models when checkpointing is on. It is nil when the golden
+	// run changed a page a text window can read, so that a never-run
+	// target's windows would not be the pristine bytes.
 	cov *cpu.Coverage
-	// cur caches the checkpoint for the most recently recorded
-	// activation PC. Targets arrive grouped by PC (EnumerateTargets
-	// emits the bytes and bits of one instruction consecutively, in
-	// non-decreasing PC order), so a single entry captures all reuse; a
-	// new PC simply re-records.
-	cur *cpEntry
+	// cps holds the checkpoints of one key group (ActivationKey.Group),
+	// one per key. Targets arrive grouped: the bytes and bits of one
+	// instruction consecutively, in non-decreasing PC order, and a
+	// syscall's errno × occurrence targets consecutively, errno-major,
+	// so the targets sharing a key sit three ordinals apart. A target
+	// from another group drops them all.
+	cps []cpEntry
 	// diskBuf is the scratch buffer severity() assembles the ramdisk
 	// into for fsck, reused across runs. It is maintained
-	// incrementally: goldenImg is the post-golden-run image, and
-	// refillDiskBuf overlays only the pages that can differ from it (the
-	// run's dirty pages plus goldenDiskDirty), instead of copying the
+	// incrementally: refillDiskBuf rolls it back to the post-golden-run
+	// image and overlays only the pages that can differ from it (the
+	// run's dirty pages plus goldenPages'), instead of copying the
 	// whole ramdisk out of guest memory every run. diskTainted tracks
-	// which diskBuf pages deviate from goldenImg; diskPoisoned forces a
-	// full reset after ext2.Repair wrote to the buffer at unknown
-	// offsets.
+	// which diskBuf pages deviate from the golden image; diskPoisoned
+	// forces a full reset after ext2.Repair wrote to the buffer at
+	// unknown offsets.
 	diskBuf      []byte
-	goldenImg    []byte
 	diskTainted  map[uint32]struct{}
 	diskPoisoned bool
-	// goldenDiskDirty is the set of ramdisk page numbers the golden run
-	// itself touched: exactly the pages where goldenImg can differ from
-	// the pristine snapshot every injection run restores to.
-	goldenDiskDirty map[uint32]struct{}
+	// goldenPages maps each ramdisk page the golden run touched to its
+	// post-golden-run bytes: exactly the pages where the golden image
+	// can differ from the pristine snapshot every injection run
+	// restores to. Every other page of the golden image is the
+	// snapshot's (goldenPage).
+	goldenPages map[uint32][]byte
 
 	// stop is the cooperative CPU stop flag; timedOut records that the
 	// wall-clock watchdog (not some other stop source) raised it.
@@ -192,13 +195,12 @@ func (r *Runner) BlockStatsDelta() cpu.BlockStats {
 	}
 }
 
-// Checkpointing reports whether checkpoint-at-breakpoint reuse is on.
+// Checkpointing reports whether checkpoint reuse is on.
 func (r *Runner) Checkpointing() bool { return r.checkpointing }
 
-// CheckpointDisabled reports whether checkpoint-at-breakpoint reuse is
-// off because the fault model's activation is not PC-keyed, and the
-// model's typed reason. It returns false for a plain -checkpoint=false
-// opt-out.
+// CheckpointDisabled reports whether checkpoint reuse is off because
+// the fault model has no golden prefix (disk), and the model's typed
+// reason. It returns false for a plain -checkpoint=false opt-out.
 func (r *Runner) CheckpointDisabled() (bool, string) {
 	return r.cpReason != "", r.cpReason
 }
@@ -224,11 +226,11 @@ func NewRunner(ws []kernel.Workload) (*Runner, error) {
 	return newRunnerFromMachine(m, ws, RunnerOptions{})
 }
 
-// cpEntry is the per-PC checkpoint cache entry: the checkpoint the
-// first target's record run captured at the PC's breakpoint.
+// cpEntry is one checkpoint cache entry: the checkpoint the record run
+// of key's first target captured at its activation event.
 type cpEntry struct {
-	pc uint32
-	cp *kernel.Checkpoint
+	key ActivationKey
+	cp  *kernel.Checkpoint
 }
 
 func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOptions) (*Runner, error) {
@@ -238,16 +240,18 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 	}
 	r := &Runner{M: m, Workloads: ws, model: model, checkpointing: !opts.NoCheckpoint}
 	if cs := model.Checkpoint(); !cs.Compatible {
-		// Never silently reuse a per-PC checkpoint for a model whose
-		// activation is not a PC; record the model's typed reason.
+		// Never reuse a checkpoint for a model without a golden
+		// prefix; record the model's typed reason.
 		r.checkpointing = false
 		r.cpReason = cs.Reason
 	}
 	r.snap = m.TakeSnapshot()
 	m.CPU.Stop = &r.stop
 	m.CPU.DisableBlocks = opts.NoBlocks
+	// Only point-model targets consult coverage, and recording it
+	// single-steps the golden run.
 	var cov *cpu.Coverage
-	if r.checkpointing {
+	if _, point := model.(PointModel); point && r.checkpointing {
 		cov = cpu.NewCoverage(textBase, textSpan)
 	}
 
@@ -278,22 +282,24 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 		return nil, err
 	}
 	r.goldenDisk = dev.Hash()
-	r.goldenImg = img
 	// The golden run's dirty set, intersected with the ramdisk, is
-	// exactly where goldenImg differs from the snapshot state; the
-	// incremental disk comparison must always revisit those pages.
-	// Intersected with text, it must be empty for a never-run
-	// target's windows to be the pristine bytes.
-	r.goldenDiskDirty = make(map[uint32]struct{})
-	if diff, ok := m.PagesChangedSince(r.snap); ok {
-		r.cov = cov
-		for pn := range diff {
-			if pn >= ramdiskFirstPage && pn < ramdiskEndPage {
-				r.goldenDiskDirty[pn] = struct{}{}
-			}
-			if pn >= textFirstPage && pn < textEndPage {
-				r.cov = nil
-			}
+	// exactly where the golden image differs from the snapshot state;
+	// the incremental disk comparison must always revisit those pages.
+	// Intersected with text, it must be empty for a never-run target's
+	// windows to be the pristine bytes.
+	diff, ok := m.PagesChangedSince(r.snap)
+	if !ok {
+		return nil, errors.New("inject: the golden run's page history does not connect to the pristine snapshot")
+	}
+	r.cov = cov
+	r.goldenPages = make(map[uint32][]byte)
+	for pn := range diff {
+		if pn >= ramdiskFirstPage && pn < ramdiskEndPage {
+			off := (pn - ramdiskFirstPage) * kernel.PageSize
+			r.goldenPages[pn] = bytes.Clone(img[off : off+kernel.PageSize])
+		}
+		if pn >= textFirstPage && pn < textEndPage {
+			r.cov = nil
 		}
 	}
 	r.GoldenCycles = m.CPU.Cycles
@@ -324,35 +330,76 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 // Use SafeRunTarget to also isolate Go panics and arm the wall-clock
 // watchdog.
 //
-// With checkpointing enabled (the default), a target at a PC the
-// golden run never reached has its Not Activated result synthesized
-// without running: the run would be the golden run, whose coverage
-// shows the breakpoint cannot fire. The first target at each other
-// activation PC runs in full while recording, capturing a machine
-// checkpoint at the breakpoint; subsequent targets at the same PC
-// replay from the checkpoint. Results are byte-identical to full runs
-// in every mode.
+// With checkpointing enabled (the default), a point-model target at a
+// PC the golden run never reached has its Not Activated result
+// synthesized without running: the run would be the golden run, whose
+// coverage shows the breakpoint cannot fire. The first target at each
+// other activation key runs in full while recording, capturing a
+// machine checkpoint at its activation event; later targets with the
+// same key replay from the checkpoint. Results are byte-identical to
+// full runs in every mode.
 func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
+	var (
+		key ActivationKey
+		cp  *kernel.Checkpoint
+	)
+	if r.checkpointing {
+		if reached, known := r.GoldenReached(t.InstAddr); known && !reached {
+			return r.synthNotActivated(c, t), nil
+		}
+		key = r.model.ActivationKey(t)
+		cp = r.cachedCheckpoint(key)
+	}
+	record := r.checkpointing && cp == nil
+	var (
+		res     Result
+		kcp     *kernel.Checkpoint
+		hf      *HarnessFault
+		reached bool // the golden run reached t's activation event
+	)
 	if am, ok := r.model.(ArmedModel); ok {
-		return r.armedTarget(am, c, t)
+		res, kcp, hf = r.armedTarget(am, c, t, cp, record)
+		reached = t.Occurrence <= r.goldenSys[t.SysNr]
+	} else {
+		res, kcp, hf = r.pointTarget(r.model.(PointModel), c, t, cp, record)
+		reached, _ = r.GoldenReached(t.InstAddr)
 	}
-	if !r.checkpointing {
-		return r.fullTarget(c, t, false)
+	switch {
+	case hf != nil:
+		// The checkpoints (or the machine state) are suspect: the next
+		// attempt re-records from pristine state.
+		r.cps = nil
+	case kcp != nil:
+		r.cps = append(r.cps, cpEntry{key: key, cp: kcp})
+	case record && reached:
+		// Until its activation event a run is the golden run, so this
+		// one left its golden path.
+		hf = newFault(FaultReplayDiverged, t,
+			"the run left its golden path: the golden run reached the activation event, the record run never did")
 	}
-	if reached, known := r.GoldenReached(t.InstAddr); known && !reached {
-		return r.synthNotActivated(c, t), nil
+	return res, hf
+}
+
+// cachedCheckpoint returns the cached checkpoint for key, or nil. A key
+// from another group first drops the cache, so that a record run never
+// holds the old group's checkpoints beside its own.
+func (r *Runner) cachedCheckpoint(key ActivationKey) *kernel.Checkpoint {
+	for _, e := range r.cps {
+		if e.key == key {
+			return e.cp
+		}
 	}
-	if r.cur != nil && r.cur.pc == t.InstAddr {
-		return r.replayTarget(c, t)
+	if len(r.cps) > 0 && r.cps[0].key.Group != key.Group {
+		r.cps = nil
 	}
-	return r.fullTarget(c, t, true)
+	return nil
 }
 
 // GoldenReached reports whether the golden run started an instruction
 // at pc; known is false when its coverage cannot tell (checkpointing is
-// off, the golden run changed a text page, or pc lies outside kernel
-// text). A point-model target at a known, unreached pc is answered
-// without running.
+// off, the model is not a point model, the golden run changed a text
+// page, or pc lies outside kernel text). A point-model target at a
+// known, unreached pc is answered without running.
 func (r *Runner) GoldenReached(pc uint32) (reached, known bool) {
 	if r.cov == nil {
 		return false, false
@@ -360,110 +407,90 @@ func (r *Runner) GoldenReached(pc uint32) (reached, known bool) {
 	return r.cov.Started(pc)
 }
 
-// armedTarget executes a target of an ArmedModel (syscall, disk):
-// restore pristine state, install the fault, run the workloads in
-// full, then classify. The per-PC checkpoint machinery is never
-// consulted — these models' activation is not a PC breakpoint.
-func (r *Runner) armedTarget(am ArmedModel, c Campaign, t Target) (Result, *HarnessFault) {
+// pointTarget runs t with a point model's fault applied at its
+// breakpoint PC. With cp it replays the golden prefix from the
+// checkpoint and applies the fault on resuming at the breakpoint;
+// otherwise it runs from the pristine snapshot, and with record set it
+// also logs the prefix and returns the checkpoint captured at the
+// breakpoint.
+func (r *Runner) pointTarget(pm PointModel, c Campaign, t Target, cp *kernel.Checkpoint, record bool) (Result, *kernel.Checkpoint, *HarnessFault) {
 	m := r.M
-	r.cur = nil
-	m.Restore(r.snap)
+	res := Result{Campaign: c, Target: t, Severity: SeverityNone,
+		OrigWindow: r.pristineWindow(t.InstAddr)}
+	var bpFault *HarnessFault
+	apply := func(cycle uint64) {
+		if err := pm.Apply(m, t); err != nil {
+			bpFault = newFault(FaultBreakpointIO, t, "%v", err)
+			return
+		}
+		res.Activated = true
+		res.ActivationCycle = cycle
+	}
+	if cp != nil {
+		run := m.RunWorkloadsFromCheckpoint(cp, r.Workloads, func(*kernel.Machine) { apply(cp.Cycles()) })
+		return res, nil, r.finishRun(&res, run, t, bpFault)
+	}
 
+	m.Restore(r.snap)
+	if record {
+		m.StartRecording()
+	}
+	var kcp *kernel.Checkpoint
+	m.CPU.OnBreakpoint = func(_ *cpu.CPU, dr int) {
+		if record {
+			// Capture before the flip: the checkpoint is the pristine
+			// at-breakpoint state shared by every sibling target.
+			kcp = m.CaptureCheckpoint()
+		}
+		m.CPU.ClearBreakpoint(dr)
+		apply(m.CPU.Cycles)
+	}
+	m.CPU.SetBreakpoint(0, t.InstAddr)
+	run := m.RunWorkloads(r.Workloads, r.Budget)
+	m.StopRecording()
+	m.CPU.OnBreakpoint = nil
+	m.CPU.ClearBreakpoint(0)
+	return res, kcp, r.finishRun(&res, run, t, bpFault)
+}
+
+// armedTarget runs t with an armed model's fault installed before the
+// run (syscall, disk). With cp it replays the golden prefix from the
+// checkpoint and resumes live at the activation event, where the
+// model's hook applies the fault; otherwise it runs from the pristine
+// snapshot, and with record set it also logs the prefix and returns
+// the checkpoint captured at the activation event (Armed.OnActivate).
+func (r *Runner) armedTarget(am ArmedModel, c Campaign, t Target, cp *kernel.Checkpoint, record bool) (Result, *kernel.Checkpoint, *HarnessFault) {
+	m := r.M
 	res := Result{Campaign: c, Target: t, Severity: SeverityNone}
+	if cp == nil {
+		m.Restore(r.snap)
+		if record {
+			m.StartRecording()
+		}
+	}
 	armed, err := am.Arm(m, t)
 	if err != nil {
-		return res, newFault(FaultArm, t, "%v", err)
+		m.StopRecording()
+		return res, nil, newFault(FaultArm, t, "%v", err)
 	}
-	run := m.RunWorkloads(r.Workloads, r.Budget)
+	var kcp *kernel.Checkpoint
+	if record {
+		armed.OnActivate = func() { kcp = m.CaptureCheckpoint() }
+	}
+	var run *kernel.RunResult
+	if cp != nil {
+		run = m.RunWorkloadsFromCheckpoint(cp, r.Workloads, nil)
+	} else {
+		run = m.RunWorkloads(r.Workloads, r.Budget)
+	}
+	m.StopRecording()
 	if armed.Disarm != nil {
 		armed.Disarm()
 	}
 	if armed.Activated != nil {
 		res.Activated, res.ActivationCycle = armed.Activated()
 	}
-	return res, r.finishRun(&res, run, t, nil)
-}
-
-// fullTarget is the full-replay experiment: restore pristine, arm the
-// breakpoint, run from boot state to outcome. With record set it also
-// logs the prefix and captures a checkpoint for reuse by later targets
-// at the same PC.
-func (r *Runner) fullTarget(c Campaign, t Target, record bool) (Result, *HarnessFault) {
-	m := r.M
-	r.cur = nil
-	m.Restore(r.snap)
-
-	res := Result{Campaign: c, Target: t, Severity: SeverityNone,
-		OrigWindow: r.pristineWindow(t.InstAddr)}
-
-	var kcp *kernel.Checkpoint
-	if record {
-		m.StartRecording()
-	}
-	var bpFault *HarnessFault
-	pm := r.model.(PointModel)
-	m.CPU.OnBreakpoint = func(cp *cpu.CPU, dr int) {
-		if record {
-			// Capture before the flip: the checkpoint is the pristine
-			// at-breakpoint state shared by every sibling target.
-			kcp = m.CaptureCheckpoint()
-		}
-		cp.ClearBreakpoint(dr)
-		if err := pm.Apply(m, t); err != nil {
-			bpFault = newFault(FaultBreakpointIO, t, "%v", err)
-			return
-		}
-		res.Activated = true
-		res.ActivationCycle = cp.Cycles
-	}
-	m.CPU.SetBreakpoint(0, t.InstAddr)
-
-	run := m.RunWorkloads(r.Workloads, r.Budget)
-	m.StopRecording()
-	m.CPU.OnBreakpoint = nil
-	m.CPU.ClearBreakpoint(0)
-
-	hf := r.finishRun(&res, run, t, bpFault)
-	if record && hf == nil {
-		if kcp != nil {
-			r.cur = &cpEntry{pc: t.InstAddr, cp: kcp}
-		} else if reached, _ := r.GoldenReached(t.InstAddr); reached {
-			// Until its breakpoint fires a run is the golden run, so
-			// this one left its golden path.
-			return res, newFault(FaultReplayDiverged, t,
-				"the run left its golden path: the golden run reached %#x, the record run never did", t.InstAddr)
-		}
-	}
-	return res, hf
-}
-
-// replayTarget runs an experiment from the cached checkpoint: the
-// prefix is replayed from the recording, then the machine resumes at
-// the breakpoint with this target's bit flipped.
-func (r *Runner) replayTarget(c Campaign, t Target) (Result, *HarnessFault) {
-	m := r.M
-	e := r.cur
-	res := Result{Campaign: c, Target: t, Severity: SeverityNone,
-		OrigWindow: r.pristineWindow(t.InstAddr)}
-
-	pm := r.model.(PointModel)
-	var bpFault *HarnessFault
-	run := m.RunWorkloadsFromCheckpoint(e.cp, r.Workloads, func(mm *kernel.Machine) {
-		if err := pm.Apply(mm, t); err != nil {
-			bpFault = newFault(FaultBreakpointIO, t, "%v", err)
-			return
-		}
-		res.Activated = true
-		res.ActivationCycle = e.cp.Cycles()
-	})
-
-	hf := r.finishRun(&res, run, t, bpFault)
-	if hf != nil {
-		// The checkpoint (or machine state) is suspect: drop it so the
-		// next attempt re-records from pristine state.
-		r.cur = nil
-	}
-	return res, hf
+	return res, kcp, r.finishRun(&res, run, t, nil)
 }
 
 // synthNotActivated builds the Not Activated result of a target whose
@@ -619,32 +646,45 @@ func (r *Runner) diskCandidates() (map[uint32]struct{}, bool) {
 	if !ok {
 		return nil, false
 	}
-	cand := make(map[uint32]struct{}, len(r.goldenDiskDirty))
+	cand := make(map[uint32]struct{}, len(r.goldenPages))
 	for pn := range diff {
 		if pn >= ramdiskFirstPage && pn < ramdiskEndPage {
 			cand[pn] = struct{}{}
 		}
 	}
-	for pn := range r.goldenDiskDirty {
+	for pn := range r.goldenPages {
 		cand[pn] = struct{}{}
 	}
 	return cand, true
 }
 
+// goldenPage returns ramdisk page pn of the post-golden-run image.
+func (r *Runner) goldenPage(pn uint32) []byte {
+	if p, ok := r.goldenPages[pn]; ok {
+		return p
+	}
+	return r.snap.RawPage(pn)
+}
+
+// diskBufPage returns ramdisk page pn's slice of diskBuf.
+func (r *Runner) diskBufPage(pn uint32) []byte {
+	off := (pn - ramdiskFirstPage) * kernel.PageSize
+	return r.diskBuf[off : off+kernel.PageSize]
+}
+
 // diskChanged reports whether the live ramdisk differs from the
 // post-golden-run image, comparing only the candidate pages instead of
-// hashing the whole disk per run. An unmapped ramdisk page yields
-// false, matching the historical DiskImage-error path (such runs are
-// caught by severity grading on the trace-mismatch side if anything
-// else diverged).
+// hashing the whole disk per run (every ramdisk page when the page
+// history is unusable). An unmapped ramdisk page yields false, matching
+// the historical DiskImage-error path (such runs are caught by severity
+// grading on the trace-mismatch side if anything else diverged).
 func (r *Runner) diskChanged() bool {
 	cand, ok := r.diskCandidates()
 	if !ok {
-		img, err := r.M.DiskImage()
-		if err != nil {
-			return false
+		cand = make(map[uint32]struct{}, ramdiskEndPage-ramdiskFirstPage)
+		for pn := ramdiskFirstPage; pn < ramdiskEndPage; pn++ {
+			cand[pn] = struct{}{}
 		}
-		return !bytes.Equal(img, r.goldenImg)
 	}
 	for pn := range cand {
 		if r.M.Mem.RawPage(pn) == nil {
@@ -652,8 +692,7 @@ func (r *Runner) diskChanged() bool {
 		}
 	}
 	for pn := range cand {
-		off := (pn - ramdiskFirstPage) * kernel.PageSize
-		if !bytes.Equal(r.M.Mem.RawPage(pn), r.goldenImg[off:off+kernel.PageSize]) {
+		if !bytes.Equal(r.M.Mem.RawPage(pn), r.goldenPage(pn)) {
 			return true
 		}
 	}
@@ -661,25 +700,26 @@ func (r *Runner) diskChanged() bool {
 }
 
 // refillDiskBuf brings diskBuf to the live guest ramdisk content. It
-// first rolls tainted pages back to goldenImg, then overlays the
+// first rolls tainted pages back to the golden image, then overlays the
 // candidate pages from guest memory, so the per-call copy cost is
 // proportional to the pages the run touched, not the disk size. It
 // returns false when a ramdisk page is unmapped (the disk is gone).
 func (r *Runner) refillDiskBuf() bool {
 	cand, ok := r.diskCandidates()
 	switch {
-	case r.diskBuf == nil:
-		r.diskBuf = make([]byte, kernel.RamdiskSize)
-		copy(r.diskBuf, r.goldenImg)
-		r.diskTainted = make(map[uint32]struct{})
-	case r.diskPoisoned || !ok:
-		copy(r.diskBuf, r.goldenImg)
+	case r.diskBuf == nil || r.diskPoisoned || !ok:
+		if r.diskBuf == nil {
+			r.diskBuf = make([]byte, kernel.RamdiskSize)
+			r.diskTainted = make(map[uint32]struct{})
+		}
+		for pn := ramdiskFirstPage; pn < ramdiskEndPage; pn++ {
+			copy(r.diskBufPage(pn), r.goldenPage(pn))
+		}
 		clear(r.diskTainted)
 		r.diskPoisoned = false
 	default:
 		for pn := range r.diskTainted {
-			off := (pn - ramdiskFirstPage) * kernel.PageSize
-			copy(r.diskBuf[off:off+kernel.PageSize], r.goldenImg[off:off+kernel.PageSize])
+			copy(r.diskBufPage(pn), r.goldenPage(pn))
 			delete(r.diskTainted, pn)
 		}
 	}
@@ -694,8 +734,7 @@ func (r *Runner) refillDiskBuf() bool {
 		if p == nil {
 			return false
 		}
-		off := (pn - ramdiskFirstPage) * kernel.PageSize
-		copy(r.diskBuf[off:off+kernel.PageSize], p)
+		copy(r.diskBufPage(pn), p)
 		r.diskTainted[pn] = struct{}{}
 	}
 	return true
@@ -723,7 +762,8 @@ func (r *Runner) severity() (Severity, bool) {
 	wasFixable := rep.Status == ext2.StatusFixable
 	if wasFixable {
 		// Repair writes into diskBuf at offsets the taint set does not
-		// track: reset the buffer from goldenImg on the next refill.
+		// track: reset the buffer to the golden image on the next
+		// refill.
 		r.diskPoisoned = true
 		if err := ext2.Repair(dev); err != nil {
 			return SeverityMost, true

@@ -73,8 +73,10 @@ type Machine struct {
 	// analog of debugfs fail_function. Returning handled=true
 	// short-circuits the call and ret (typically -errno) becomes the
 	// syscall's result; handled=false observes without interfering.
-	// Restore clears it: a hook is armed per run, never inherited by
-	// the next one.
+	// During a recording run the hook may call CaptureCheckpoint before
+	// it forces a return; replays of that checkpoint resume at this
+	// boundary. Restore clears it: a hook is armed per run, never
+	// inherited by the next one.
 	SyscallHook func(nr int, args [4]uint32) (ret int32, handled bool)
 
 	// GoldenCycles is the cycle counter at which the fault-free run
@@ -98,8 +100,8 @@ type Machine struct {
 	// exact unwind the live path would perform.
 	faultStack []faultFrame
 
-	// rec/rep drive checkpoint-at-breakpoint record and replay runs
-	// (see replay.go). Both nil during ordinary execution.
+	// rec/rep drive checkpoint record and replay runs (see replay.go).
+	// Both nil during ordinary execution.
 	rec *recording
 	rep *replay
 
@@ -406,13 +408,13 @@ func (m *Machine) CallAddr(addr uint32, args ...uint32) (uint32, error) {
 			return m.replayCall(addr, args)
 		}
 		if m.rec != nil {
-			m.rec.inflight = addr
-			m.rec.inflightArgs = hashArgs(args)
+			at := resumePoint{id: addr, args: hashArgs(args)}
+			m.rec.at = at
 			ret, err := m.callAddr(addr, args)
 			// A checkpoint captured mid-call clears m.rec: the in-flight
 			// call then belongs to the live suffix, not the prefix log.
 			if m.rec != nil && err == nil {
-				m.rec.ops = append(m.rec.ops, op{kind: opCall, addr: addr, arg: m.rec.inflightArgs, val: ret})
+				m.rec.log.add(op{kind: opCall, addr: addr, arg: at.args, val: ret}, nil, nil)
 			}
 			return ret, err
 		}
@@ -521,12 +523,20 @@ func (m *Machine) handleUserFault(exc *cpu.Exception) (bool, error) {
 }
 
 // Syscall executes a system call through the kernel's system_call
-// entry. It returns the raw EAX as a signed value.
+// entry. It returns the raw EAX as a signed value. SyscallHook sees the
+// call first, in replayed prefixes too; a replay whose checkpoint was
+// captured from the hook resumes here (see replay.go).
 func (m *Machine) Syscall(nr int, args ...uint32) (int32, error) {
 	var a [4]uint32
 	copy(a[:], args)
 	if m.proof != nil {
 		m.proof.bad = true
+	}
+	if m.rep != nil && m.rep.atSyscallBoundary() {
+		return m.replaySyscall(nr, a)
+	}
+	if m.rec != nil {
+		m.rec.at = syscallPoint(nr, a)
 	}
 	if m.SyscallHook != nil {
 		if ret, handled := m.SyscallHook(nr, a); handled {
@@ -557,6 +567,10 @@ func (m *Machine) TakeSnapshot() *Snapshot {
 func (s *Snapshot) ReadRaw(addr, size uint32) ([]byte, error) {
 	return s.mem.ReadRaw(addr, size)
 }
+
+// RawPage returns page pn's bytes as they were when s was taken, or
+// nil if the page was unmapped. Callers must treat it as read-only.
+func (s *Snapshot) RawPage(pn uint32) []byte { return s.mem.RawPage(pn) }
 
 // PagesChangedSince returns a conservative superset of the page
 // numbers whose content may differ from the snapshot state, and

@@ -8,21 +8,32 @@ import (
 	"repro/internal/mem"
 )
 
-// Checkpoint-at-breakpoint support.
+// Checkpoint-at-activation support.
 //
 // A machine checkpoint (memory snapshot + CPU registers + console +
 // pending fault frames) is not enough to restart an injection run from
-// its activation PC: the workload "scheduler" is host-side Go state —
+// its activation point: the workload "scheduler" is host-side Go state —
 // the engine's goroutines, token-passing channels and trace — which
 // cannot be snapshotted. Instead, the first run of a target *records*
 // the result of every machine operation the engine performs (kernel
 // calls, raw reads/writes, cycle charges) from run start to the
-// breakpoint. A replay run re-executes the engine and workload
+// activation point. A replay run re-executes the engine and workload
 // goroutines natively but satisfies their machine operations from the
 // recorded log — microseconds of host work instead of milliseconds of
-// simulation — and on reaching the log's end (always the kernel call
-// the breakpoint interrupted) restores the machine checkpoint, applies
-// this run's bit flip, and continues live execution to the outcome.
+// simulation — and at the log's end restores the machine checkpoint,
+// applies this run's fault, and continues live execution to the
+// outcome.
+//
+// A checkpoint resumes at one of two points. One captured from the
+// breakpoint hook resumes inside the top-level kernel call the
+// breakpoint interrupted: the log ends just before that call, and the
+// replay finishes it live. One captured from a SyscallHook resumes at
+// that system call's boundary, before the call is dispatched: nothing
+// is in flight, the log ends just before the call, and the replay
+// consults the hook again on the restored machine, which must handle
+// the call (the hook's count of earlier calls reached the same value
+// during the replayed prefix, because Syscall consults it before
+// CallAddr).
 //
 // The engine is deterministic given identical operation results, so a
 // replayed run is byte-identical to a full run. If that invariant is
@@ -78,25 +89,76 @@ func (k opKind) String() string {
 }
 
 // op is one recorded engine-visible machine operation: enough of the
-// request to verify the replay stays on script, plus the full result.
+// request to verify the replay stays on script, plus the result. It is
+// 20 bytes; the results that do not fit inline (a ReadBytes buffer, an
+// error) live in the log's side table.
 type op struct {
 	kind opKind
+	flag bool   // boolean result
 	addr uint32 // primary address (or cycle count for opAddCycles)
 	arg  uint32 // secondary request datum (value, size, args hash)
 	val  uint32 // 32-bit result
-	flag bool   // boolean result
-	buf  []byte // ReadBytes result
-	err  error  // error result
+	side uint32 // 1 + index of the op's side entry, or 0 for none
+}
+
+// opSide is an op's out-of-line result.
+type opSide struct {
+	buf []byte // ReadBytes result
+	err error  // error result
+}
+
+// opLog is a recorded prefix: its ops in order, and the side table
+// holding their ReadBytes buffers and errors.
+type opLog struct {
+	ops  []op
+	side []opSide
+}
+
+func (l *opLog) add(o op, buf []byte, err error) {
+	if buf != nil || err != nil {
+		l.side = append(l.side, opSide{buf: buf, err: err})
+		o.side = uint32(len(l.side))
+	}
+	l.ops = append(l.ops, o)
+}
+
+// result returns o's out-of-line buffer and error.
+func (l *opLog) result(o *op) ([]byte, error) {
+	if o.side == 0 {
+		return nil, nil
+	}
+	s := &l.side[o.side-1]
+	return s.buf, s.err
+}
+
+// resumePoint is where a replay leaves the log for live execution: the
+// top-level call a breakpoint interrupted (id is its address), or the
+// system call whose SyscallHook captured the checkpoint (id is the
+// syscall number). args is hashArgs of the call's arguments.
+type resumePoint struct {
+	syscall bool
+	id      uint32
+	args    uint32
+}
+
+func syscallPoint(nr int, a [4]uint32) resumePoint {
+	return resumePoint{syscall: true, id: uint32(nr), args: hashArgs(a[:])}
+}
+
+func (p resumePoint) String() string {
+	if p.syscall {
+		return fmt.Sprintf("syscall %d (args %#x)", p.id, p.args)
+	}
+	return fmt.Sprintf("call %#x (args %#x)", p.id, p.args)
 }
 
 // recording accumulates the op log during a target's first run.
 type recording struct {
-	ops []op
-	// inflight identifies the top-level call currently executing, so a
-	// checkpoint captured mid-call (from the breakpoint hook) knows
-	// which call the replay must resume rather than consume.
-	inflight     uint32
-	inflightArgs uint32
+	log opLog
+	// at is the resume point of a checkpoint captured now: the
+	// top-level call currently executing, or the system call whose
+	// SyscallHook is being consulted.
+	at resumePoint
 }
 
 // replay drives a run from a recorded prefix. Once err is set the
@@ -118,17 +180,17 @@ func (r *replay) failf(format string, args ...interface{}) {
 
 // next consumes the next recorded op, verifying the request matches.
 // It returns nil (and poisons the replay) on any mismatch, including
-// running past the end of the log on anything but the in-flight call.
+// running past the end of the log.
 func (r *replay) next(kind opKind, addr, arg uint32) *op {
 	if r.err != nil {
 		return nil
 	}
-	if r.i >= len(r.cp.ops) {
-		r.failf("op %d: %v(%#x) past end of recording (in-flight call %#x expected)",
-			r.i, kind, addr, r.cp.inflight)
+	if r.i >= len(r.cp.log.ops) {
+		r.failf("op %d: %v(%#x) past end of recording (checkpoint resumes at %v)",
+			r.i, kind, addr, r.cp.at)
 		return nil
 	}
-	o := &r.cp.ops[r.i]
+	o := &r.cp.log.ops[r.i]
 	if o.kind != kind || o.addr != addr || o.arg != arg {
 		r.failf("op %d: got %v(%#x, %#x), recorded %v(%#x, %#x)",
 			r.i, kind, addr, arg, o.kind, o.addr, o.arg)
@@ -136,6 +198,12 @@ func (r *replay) next(kind opKind, addr, arg uint32) *op {
 	}
 	r.i++
 	return o
+}
+
+// atSyscallBoundary reports that the log is used up and the checkpoint
+// resumes at a system call boundary: the next Syscall must be that call.
+func (r *replay) atSyscallBoundary() bool {
+	return r.i == len(r.cp.log.ops) && r.cp.at.syscall
 }
 
 func hashArgs(args []uint32) uint32 {
@@ -146,21 +214,21 @@ func hashArgs(args []uint32) uint32 {
 	return (h ^ uint32(len(args))) * 16777619
 }
 
-// Checkpoint is the full machine state at an injection breakpoint plus
-// the recorded operation log leading up to it. One checkpoint serves
-// every target sharing the activation PC.
+// Checkpoint is the full machine state at an activation point plus the
+// recorded operation log leading up to it. One checkpoint serves every
+// target sharing the activation event: a PC's breakpoint, or the Nth
+// call of a system call.
 type Checkpoint struct {
-	mem          *mem.Snapshot
-	cpu          cpu.State
-	cycleLimit   uint64
-	console      []byte
-	frames       []faultFrame
-	ops          []op
-	inflight     uint32
-	inflightArgs uint32
+	mem        *mem.Snapshot
+	cpu        cpu.State
+	cycleLimit uint64
+	console    []byte
+	frames     []faultFrame
+	log        opLog
+	at         resumePoint
 }
 
-// Cycles returns the cycle counter at the captured breakpoint (the
+// Cycles returns the cycle counter at the capture point (the
 // activation cycle of every run resumed from this checkpoint).
 func (cp *Checkpoint) Cycles() uint64 { return cp.cpu.Cycles }
 
@@ -169,14 +237,16 @@ func (cp *Checkpoint) Cycles() uint64 { return cp.cpu.Cycles }
 func (m *Machine) StartRecording() { m.rec = &recording{} }
 
 // StopRecording discards any recording still active (the run finished
-// without the breakpoint firing, or the caller abandons the attempt).
+// without reaching its activation point, or the caller abandons the
+// attempt).
 func (m *Machine) StopRecording() { m.rec = nil }
 
 // CaptureCheckpoint snapshots the machine mid-run. It must be called
-// while a recording run is executing — in practice from the breakpoint
-// hook, before the fault is injected — and ends the recording: the op
-// log covers exactly the prefix up to this point, ending at the
-// in-flight top-level call.
+// while a recording run is executing, before the fault takes effect:
+// from the breakpoint hook, where the checkpoint resumes inside the
+// in-flight top-level call, or from a SyscallHook, where it resumes at
+// that system call's boundary. It ends the recording: the op log covers
+// exactly the prefix up to this point.
 func (m *Machine) CaptureCheckpoint() *Checkpoint {
 	rec := m.rec
 	if rec == nil {
@@ -184,31 +254,31 @@ func (m *Machine) CaptureCheckpoint() *Checkpoint {
 	}
 	m.rec = nil
 	return &Checkpoint{
-		mem:          m.Mem.TakeSnapshot(),
-		cpu:          m.CPU.CaptureState(),
-		cycleLimit:   m.CycleLimit,
-		console:      append([]byte(nil), m.Console.Bytes()...),
-		frames:       append([]faultFrame(nil), m.faultStack...),
-		ops:          rec.ops,
-		inflight:     rec.inflight,
-		inflightArgs: rec.inflightArgs,
+		mem:        m.Mem.TakeSnapshot(),
+		cpu:        m.CPU.CaptureState(),
+		cycleLimit: m.CycleLimit,
+		console:    append([]byte(nil), m.Console.Bytes()...),
+		frames:     append([]faultFrame(nil), m.faultStack...),
+		log:        rec.log,
+		at:         rec.at,
 	}
 }
 
 // RunWorkloadsFromCheckpoint runs the workloads exactly like
-// RunWorkloads, but satisfies the prefix up to cp's breakpoint from the
-// recorded log, then restores the checkpoint, calls applyFlip (the
-// fault injection; it may be nil) and continues live to the outcome.
-// If the replay diverges from the recording, the result's Err is the
-// divergence error (wrapping ErrReplayDiverged) — never a counterfeit
-// outcome.
+// RunWorkloads, but satisfies the prefix up to cp's activation point
+// from the recorded log, then restores the checkpoint, calls applyFlip
+// (the fault injection; it may be nil) and continues live to the
+// outcome. At a system call boundary the restored machine consults
+// SyscallHook, which must handle the call. If the replay diverges from
+// the recording, the result's Err is the divergence error (wrapping
+// ErrReplayDiverged) — never a counterfeit outcome.
 func (m *Machine) RunWorkloadsFromCheckpoint(cp *Checkpoint, ws []Workload, applyFlip func(*Machine)) *RunResult {
 	r := &replay{cp: cp, applyFlip: applyFlip}
 	m.rep = r
 	res := m.runWorkloads(ws)
 	m.rep = nil
 	if r.err == nil && !r.switched {
-		r.failf("run finished after %d of %d recorded ops without reaching the checkpoint", r.i, len(cp.ops))
+		r.failf("run finished after %d of %d recorded ops without reaching the checkpoint", r.i, len(cp.log.ops))
 	}
 	if r.err != nil {
 		res.Err = r.err
@@ -225,8 +295,8 @@ func (m *Machine) replayCall(addr uint32, args []uint32) (uint32, error) {
 		return 0, r.err
 	}
 	h := hashArgs(args)
-	if r.i < len(r.cp.ops) {
-		o := &r.cp.ops[r.i]
+	if r.i < len(r.cp.log.ops) {
+		o := &r.cp.log.ops[r.i]
 		if o.kind != opCall || o.addr != addr || o.arg != h {
 			r.failf("op %d: got Call(%#x, args %#x), recorded %v(%#x, %#x)",
 				r.i, addr, h, o.kind, o.addr, o.arg)
@@ -235,20 +305,42 @@ func (m *Machine) replayCall(addr uint32, args []uint32) (uint32, error) {
 		r.i++
 		return o.val, nil
 	}
-	if addr != r.cp.inflight || h != r.cp.inflightArgs {
-		r.failf("in-flight call got %#x (args %#x), checkpoint captured %#x (args %#x)",
-			addr, h, r.cp.inflight, r.cp.inflightArgs)
+	if at := (resumePoint{id: addr, args: h}); at != r.cp.at {
+		r.failf("%v at the end of the log, checkpoint resumes at %v", at, r.cp.at)
 		return 0, r.err
 	}
-	r.switched = true
 	return m.resumeCheckpoint(r)
 }
 
-// resumeCheckpoint restores the captured machine state, injects the
-// fault, and finishes the interrupted call live — including unwinding
-// any nested fault-handler frames exactly as the live path would.
-func (m *Machine) resumeCheckpoint(r *replay) (uint32, error) {
+// replaySyscall switches a replay to live execution at the system call
+// boundary its checkpoint was captured at. The call must be the
+// captured one, and the SyscallHook, consulted on the restored machine,
+// must handle it.
+func (m *Machine) replaySyscall(nr int, a [4]uint32) (int32, error) {
+	r := m.rep
+	if r.err != nil {
+		return 0, r.err
+	}
+	if at := syscallPoint(nr, a); at != r.cp.at {
+		r.failf("%v at the end of the log, checkpoint resumes at %v", at, r.cp.at)
+		return 0, r.err
+	}
+	m.restoreCheckpoint(r)
+	if m.SyscallHook != nil {
+		if ret, handled := m.SyscallHook(nr, a); handled {
+			return ret, nil
+		}
+	}
+	r.failf("the SyscallHook did not handle %v, where the checkpoint was captured", r.cp.at)
+	return 0, r.err
+}
+
+// restoreCheckpoint ends a replay's prefix: it restores the captured
+// machine state and injects the fault, so execution continues live
+// from the checkpoint's resume point.
+func (m *Machine) restoreCheckpoint(r *replay) {
 	cp := r.cp
+	r.switched = true
 	m.rep = nil // live execution from here on
 	m.Mem.Restore(cp.mem)
 	m.CPU.RestoreState(cp.cpu)
@@ -261,6 +353,14 @@ func (m *Machine) resumeCheckpoint(r *replay) (uint32, error) {
 	if r.applyFlip != nil {
 		r.applyFlip(m)
 	}
+}
+
+// resumeCheckpoint restores the captured machine state, injects the
+// fault, and finishes the interrupted call live — including unwinding
+// any nested fault-handler frames exactly as the live path would.
+func (m *Machine) resumeCheckpoint(r *replay) (uint32, error) {
+	cp := r.cp
+	m.restoreCheckpoint(r)
 
 	ret, err := m.runToReturn()
 	// Unwind captured fault frames innermost-first, mirroring the live
@@ -299,11 +399,12 @@ func (m *Machine) memRead32(addr uint32) (uint32, error) {
 		if o == nil {
 			return 0, m.rep.err
 		}
-		return o.val, o.err
+		_, err := m.rep.cp.log.result(o)
+		return o.val, err
 	}
 	v, err := m.Mem.Read32(addr)
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opRead32, addr: addr, val: v, err: err})
+		m.rec.log.add(op{kind: opRead32, addr: addr, val: v}, nil, err)
 	}
 	return v, err
 }
@@ -314,11 +415,12 @@ func (m *Machine) memWrite32(addr, v uint32) error {
 		if o == nil {
 			return m.rep.err
 		}
-		return o.err
+		_, err := m.rep.cp.log.result(o)
+		return err
 	}
 	err := m.Mem.Write32(addr, v)
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opWrite32, addr: addr, arg: v, err: err})
+		m.rec.log.add(op{kind: opWrite32, addr: addr, arg: v}, nil, err)
 	}
 	return err
 }
@@ -331,12 +433,12 @@ func (m *Machine) memReadBytes(addr, n uint32) ([]byte, error) {
 		}
 		// Copy: callers may mutate the returned slice, and the log is
 		// shared by every replay of this checkpoint.
-		return append([]byte(nil), o.buf...), o.err
+		buf, err := m.rep.cp.log.result(o)
+		return append([]byte(nil), buf...), err
 	}
 	b, err := m.Mem.ReadBytes(addr, n)
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opReadBytes, addr: addr, arg: n,
-			buf: append([]byte(nil), b...), err: err})
+		m.rec.log.add(op{kind: opReadBytes, addr: addr, arg: n}, append([]byte(nil), b...), err)
 	}
 	return b, err
 }
@@ -347,11 +449,12 @@ func (m *Machine) memWriteBytes(addr uint32, b []byte) error {
 		if o == nil {
 			return m.rep.err
 		}
-		return o.err
+		_, err := m.rep.cp.log.result(o)
+		return err
 	}
 	err := m.Mem.WriteBytes(addr, b)
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opWriteBytes, addr: addr, arg: uint32(len(b)), err: err})
+		m.rec.log.add(op{kind: opWriteBytes, addr: addr, arg: uint32(len(b))}, nil, err)
 	}
 	return err
 }
@@ -366,7 +469,7 @@ func (m *Machine) memPermAt(addr uint32) mem.Perm {
 	}
 	p := m.Mem.PermAt(addr)
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opPermAt, addr: addr, val: uint32(p)})
+		m.rec.log.add(op{kind: opPermAt, addr: addr, val: uint32(p)}, nil, nil)
 	}
 	return p
 }
@@ -381,7 +484,7 @@ func (m *Machine) memIsMapped(addr uint32) bool {
 	}
 	ok := m.Mem.IsMapped(addr)
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opIsMapped, addr: addr, flag: ok})
+		m.rec.log.add(op{kind: opIsMapped, addr: addr, flag: ok}, nil, nil)
 	}
 	return ok
 }
@@ -393,7 +496,7 @@ func (m *Machine) memProtect(addr, size uint32, perm mem.Perm) {
 	}
 	m.Mem.Protect(addr, size, perm)
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opProtect, addr: addr, arg: size | uint32(perm)<<24})
+		m.rec.log.add(op{kind: opProtect, addr: addr, arg: size | uint32(perm)<<24}, nil, nil)
 	}
 }
 
@@ -404,7 +507,7 @@ func (m *Machine) addCycles(n uint64) {
 	}
 	m.CPU.Cycles += n
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opAddCycles, addr: uint32(n)})
+		m.rec.log.add(op{kind: opAddCycles, addr: uint32(n)}, nil, nil)
 	}
 }
 
@@ -418,7 +521,7 @@ func (m *Machine) interruptsEnabled() bool {
 	}
 	on := m.CPU.Eflags&interruptFlag != 0
 	if m.rec != nil {
-		m.rec.ops = append(m.rec.ops, op{kind: opIntEnabled, flag: on})
+		m.rec.log.add(op{kind: opIntEnabled, flag: on}, nil, nil)
 	}
 	return on
 }

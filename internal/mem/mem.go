@@ -796,6 +796,16 @@ func (s *Snapshot) ReadRaw(addr, size uint32) ([]byte, error) {
 	return out, nil
 }
 
+// RawPage returns the bytes of page pn as they were when s was taken,
+// or nil if the page was unmapped. Snapshot pages are never written in
+// place, so the slice stays valid; callers must treat it as read-only.
+func (s *Snapshot) RawPage(pn uint32) []byte {
+	if p, ok := s.pages[pn]; ok {
+		return p.data
+	}
+	return nil
+}
+
 // TakeSnapshot captures the current state and resets dirty tracking.
 // No page data is copied: the live pages are marked shared (immutable)
 // and later writes clone on demand, so the call is O(mapped pages)
