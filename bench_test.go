@@ -344,12 +344,19 @@ func benchInjectionRun(b *testing.B, opts inject.RunnerOptions) {
 	}
 }
 
-// BenchmarkHangRun measures one budget-burning idle hang: sub8 seed
-// 2003, ordinal A:17 (verify_area+0x5, byte 2, bit 6), which parks
-// every workload and idles with a 6-tick period until the watchdog
-// fires. The fastforward arm jumps that stretch and fails if no jump
-// happened, so a silently disengaged fast path is loud; the reference
-// arm simulates every cycle.
+// BenchmarkHangRun measures budget-burning hangs of the sub8 study
+// (seed 2003), one of each kind hang fast-forward jumps:
+//   - idle, A:17 (verify_area+0x5, byte 2, bit 6), which parks every
+//     workload and idles with a 6-tick period until the watchdog fires;
+//   - fault-retry, A:19 (verify_area+0x17, byte 1, bit 4), where one
+//     instruction keeps faulting at a user address that do_page_fault
+//     reports handled, inside one kernel call;
+//   - loop, C:31 (schedule+0x52, byte 0, bit 0), a loop in the CPU
+//     inside one kernel call.
+//
+// Each fastforward arm jumps its stretch and fails if no jump happened,
+// so a silently disengaged fast path is loud; the reference arms
+// simulate every cycle.
 func BenchmarkHangRun(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.MaxTargetsPerFunc = 8
@@ -357,37 +364,52 @@ func BenchmarkHangRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	targets, err := s.Targets(inject.CampaignA)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t := targets[17]
-	if t.Func.Name != "verify_area" || t.InstAddr != t.Func.Addr+5 || t.ByteOff != 2 || t.Bit != 6 {
-		b.Fatalf("A:17 is %s+%#x byte %d bit %d, not verify_area+0x5 byte 2 bit 6",
-			t.Func.Name, t.InstAddr-t.Func.Addr, t.ByteOff, t.Bit)
-	}
 	r := s.Runner
-	for _, arm := range []struct {
-		name   string
-		golden uint64 // the machine's arming point; 0 never arms
-	}{{"fastforward", r.GoldenCycles}, {"reference", 0}} {
-		b.Run(arm.name, func(b *testing.B) {
-			r.M.GoldenCycles = arm.golden
-			for i := 0; i < b.N; i++ {
-				before := r.M.SkippedCycles()
-				res, hf := r.RunTarget(inject.CampaignA, t)
-				if hf != nil {
-					b.Fatal(hf)
+	for _, h := range []struct {
+		name    string
+		c       inject.Campaign
+		ordinal int
+		fn      string
+		off     uint32
+		byteOff int
+		bit     uint8
+	}{
+		{"idle", inject.CampaignA, 17, "verify_area", 0x5, 2, 6},
+		{"fault-retry", inject.CampaignA, 19, "verify_area", 0x17, 1, 4},
+		{"loop", inject.CampaignC, 31, "schedule", 0x52, 0, 0},
+	} {
+		targets, err := s.Targets(h.c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t := targets[h.ordinal]
+		if t.Func.Name != h.fn || t.InstAddr != t.Func.Addr+h.off || t.ByteOff != h.byteOff || t.Bit != h.bit {
+			b.Fatalf("%v:%d is %s+%#x byte %d bit %d, not %s+%#x byte %d bit %d", h.c, h.ordinal,
+				t.Func.Name, t.InstAddr-t.Func.Addr, t.ByteOff, t.Bit, h.fn, h.off, h.byteOff, h.bit)
+		}
+		for _, arm := range []struct {
+			name   string
+			golden uint64 // the machine's arming point; 0 never arms
+		}{{"fastforward", r.GoldenCycles}, {"reference", 0}} {
+			b.Run(h.name+"/"+arm.name, func(b *testing.B) {
+				r.M.GoldenCycles = arm.golden
+				for i := 0; i < b.N; i++ {
+					before := r.M.SkippedCycles()
+					res, hf := r.RunTarget(h.c, t)
+					if hf != nil {
+						b.Fatal(hf)
+					}
+					if res.Outcome != inject.OutcomeHang {
+						b.Fatalf("outcome %v, want a hang", res.Outcome)
+					}
+					if arm.golden != 0 && r.M.SkippedCycles() == before {
+						b.Fatal("hang fast-forward did not jump")
+					}
 				}
-				if res.Outcome != inject.OutcomeHang {
-					b.Fatalf("outcome %v, want a hang", res.Outcome)
-				}
-				if arm.golden != 0 && r.M.SkippedCycles() == before {
-					b.Fatal("hang fast-forward did not jump")
-				}
-			}
-		})
+			})
+		}
 	}
+	r.M.GoldenCycles = r.GoldenCycles
 }
 
 // BenchmarkAblationAssertions quantifies the paper's §8 proposal

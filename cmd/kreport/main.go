@@ -7,6 +7,7 @@
 // Usage:
 //
 //	kreport [-verify] <results.json.gz | journal> [more sets...]
+//	kreport -diff <a> <b>
 //
 // Given several result sets (or journals), kreport renders a
 // side-by-side fault-model comparison — one column per set's fault
@@ -19,6 +20,13 @@
 // (if any) is reported with its index and file offset. A torn tail —
 // the signature of a crash mid-write — is reported as recoverable;
 // exit status is non-zero only for corruption or an unreadable file.
+//
+// -diff compares two result sets (saved files or journals) and names
+// each difference: seed, scale, fault model and quarantine lists, and
+// for each campaign the first target ordinal whose results differ, with
+// the target and every differing field's two values. It exits 1 when
+// the sets differ and 0 when they are identical, so a byte-parity check
+// can name its own cause: cmp a b || { kreport -diff a b; exit 1; }.
 package main
 
 import (
@@ -43,8 +51,15 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("kreport", flag.ContinueOnError)
 	verify := fs.Bool("verify", false, "fsck a journal: check every frame, report the first corruption")
+	diff := fs.Bool("diff", false, "compare two result sets: name the first differing target of each campaign")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *diff {
+		if fs.NArg() != 2 || *verify {
+			return fmt.Errorf("usage: kreport -diff <a> <b>")
+		}
+		return runDiff(fs.Arg(0), fs.Arg(1), w)
 	}
 	if fs.NArg() < 1 {
 		return fmt.Errorf("usage: kreport [-verify] <results.json.gz | journal> [more sets...]")

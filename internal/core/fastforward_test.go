@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/inject"
@@ -55,7 +56,7 @@ func machineDiff(ma, mb *kernel.Machine, sa, sb *kernel.Snapshot) string {
 // the checkpoint studies.
 func TestFastForwardFinalStateOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("five studies, twice each")
+		t.Skip("six studies, twice each")
 	}
 	cases := []struct {
 		name       string
@@ -66,12 +67,27 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 		// noCheckpoint makes the reference a NoCheckpoint runner that
 		// fast-forwards like the study's.
 		noCheckpoint bool
+		// only, when set, runs just these ordinals of each campaign.
+		only map[inject.Campaign][]int
 	}{
-		{"bitflip", "bitflip", 1, 2, 15, false}, // every function at -max-targets 2: 379 runs, 32 hangs, 19 jumped
-		{"syscall", "syscall", 1, 0, 5, false},  // the full syscall target list at scale 1: 6 hangs, 6 jumped
-		{"disk", "disk", 1, 2, 0, false},
-		{"syscall-checkpoint", "syscall", 1, 0, 0, true},    // 76 of 114 runs replay
-		{"syscall-checkpoint-s3", "syscall", 3, 0, 0, true}, // 90 of 135 runs replay
+		{"bitflip", "bitflip", 1, 2, 22, false, nil}, // every function at -max-targets 2: 379 runs, 32 hangs, 22 jumped
+		{"syscall", "syscall", 1, 0, 5, false, nil},  // the full syscall target list at scale 1: 6 hangs, 6 jumped
+		{"disk", "disk", 1, 2, 0, false, nil},
+		{"syscall-checkpoint", "syscall", 1, 0, 0, true, nil},    // 76 of 114 runs replay
+		{"syscall-checkpoint-s3", "syscall", 3, 0, 0, true, nil}, // 90 of 135 runs replay
+		// The ten hangs of sub8 (seed 2003, -max-targets 8) whose watchdog
+		// fires inside one kernel call, every one of which must jump:
+		// fault-retry loops at A:19 verify_area+0x17, A:32
+		// __generic_copy_from_user+0x0, A:134 sys_waitpid+0x72, B:377
+		// sys_write+0x19 and C:90 handle_mm_fault+0x2b; loops in the CPU
+		// at A:73 recharge_counters+0x1, B:147 add_to_page_cache+0xc,
+		// B:341 get_unused_fd+0x12, C:25 recharge_counters+0xb and C:31
+		// schedule+0x52.
+		{"in-call", "bitflip", 1, 8, 10, false, map[inject.Campaign][]int{
+			inject.CampaignA: {19, 32, 73, 134},
+			inject.CampaignB: {147, 341, 377},
+			inject.CampaignC: {25, 31, 90},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,6 +121,9 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, tg := range targets {
+					if tc.only != nil && !slices.Contains(tc.only[c], i) {
+						continue
+					}
 					before := ff.M.SkippedCycles()
 					got, gf := ff.RunTarget(c, tg)
 					want, wf := ref.RunTarget(c, tg)

@@ -75,9 +75,6 @@ type engine struct {
 	trace    []string
 	ticks    uint64
 	ageSlot  int
-	// ff is the hang fast-forward state (fastforward.go), nil until
-	// the run arms.
-	ff *fastForward
 }
 
 // User is the handle a workload's Main uses to interact with the
@@ -101,6 +98,8 @@ func (m *Machine) RunWorkloads(ws []Workload, cycleBudget uint64) *RunResult {
 // checkpoint instead of a fresh budget).
 func (m *Machine) runWorkloads(ws []Workload) *RunResult {
 	e := &engine{m: m}
+	m.ff = nil
+	defer func() { m.ff = nil }()
 
 	res := &RunResult{}
 	// Spawn every workload from init's context.
@@ -314,7 +313,7 @@ func (e *engine) tick() {
 		return
 	}
 	e.ticks++
-	if e.ff != nil && e.ff.probe != nil {
+	if e.m.ff != nil && e.m.ff.probe != nil {
 		e.ffAging()
 	}
 	if e.ticks%64 == 0 {

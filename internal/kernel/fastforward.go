@@ -13,38 +13,65 @@ import (
 
 // Hang fast-forward.
 //
-// A hang burns its whole watchdog budget, and most hangs spend nearly
-// all of it in the engine loop's idle branch: every workload is
-// parked, and the machine ticks the timer and runs the scheduler over
-// and over. There the machine state repeats every few ticks, except
-// jiffies, which do_timer increments on every tick. Fast-forward
-// detects such a stretch, proves on one concrete period that jiffies
-// cannot change the path the machine takes within the jump, and then
-// advances jiffies, the cycle counter and the engine's tick counters
-// by k whole periods at once. Everything after the jump, the watchdog
-// firing included, is real execution, so a hang's HangEIP, its
-// severity fsck and every result byte come from the machine.
+// A hang burns its whole watchdog budget. Fast-forward finds a stretch
+// in which the machine provably repeats with some period, jumps the
+// cycle counter over whole periods, and leaves the last period and the
+// watchdog firing to real execution, so a hang's HangEIP, its severity
+// fsck and every result byte come from the machine. One confirm-and-
+// jump serves two kinds of stretch, each with its own proof mode:
 //
-// Arming. The engine arms at the first idle tick whose cycle counter
-// exceeds GoldenCycles, so a run that finishes like the golden run
-// never arms. It arms only during live execution: never while a
-// checkpoint prefix is recorded or replayed, and never with a debug
-// register enabled. Arming takes a memory snapshot, so from then on
-// mem's dirty set is exactly the pages written since arming.
+//   - Idle hangs, in the engine loop's idle branch: every workload is
+//     parked, and the machine ticks the timer and runs the scheduler
+//     over and over. The state repeats every few ticks except jiffies,
+//     which do_timer increments on every tick. The proof allows that
+//     one difference: a repeat except jiffies.
+//   - In-call hangs, inside one kernel call: a loop in the CPU, or an
+//     instruction that keeps faulting at a user address that
+//     do_page_fault reports handled. The proof is an exact repeat.
 //
-// Detection. Every idle tick records a fingerprint: the registers,
-// EFLAGS, the cycles spent since the previous idle tick, and the
-// number of pages written since arming. When the last 2P fingerprints
-// are P-periodic (P ≤ ffMaxPeriod), the next P ticks are a probe.
+// Arming. Fast-forward acts only once the cycle counter exceeds
+// GoldenCycles, so a run that finishes like the golden run never arms.
+// It acts only during live execution: never while a checkpoint prefix
+// is recorded or replayed, never with a debug register enabled, and
+// never inside an idle probe. A machine whose GoldenCycles is zero
+// never arms; it is the reference arm. The idle detection's start or
+// the first in-call reference, whichever comes first, takes the run's
+// one memory snapshot, so from then on mem's dirty set is exactly the
+// pages written since arming.
 //
-// Probe. The probe period runs on the single-step loop with a memory
-// watch on the jiffies dword. At its end the state must equal the
-// state at its start exactly: the registers and EFLAGS, the console,
-// PanicCode, the engine trace and live count, and every page written
-// since arming (bytes, permission and mapping), except the jiffies
-// dword, which must have grown by the number of incs the probe saw.
-// The probe period must also cost the cycles the detected period did.
-// The proof accepts only two uses of jiffies:
+// The reference state. A proof takes one reference at a period's start:
+// the registers, EIP, EFLAGS, fault depth, console length, PanicCode
+// and every page written since arming (bytes, permission and mapping).
+// The period is confirmed when its end matches the reference in all of
+// them, where a page not yet written at the reference must still match
+// the arming snapshot. The idle mode also lets jiffies grow by what the
+// period's ticks added, and compares the engine's trace and live count.
+//
+// Exact mode. Inside one kernel call only CPU and memory state drive
+// the machine: no timer tick, workload or syscall hook runs there,
+// handleUserFault is deterministic, `in` reads a constant, and no
+// instruction reads the cycle counter (RDTSC and RDPMC raise #UD; the
+// cpu package's TestCycleCounterUnreadable pins this). So an exact
+// repeat with period P cycles continues until the watchdog. Detection
+// runs at two points of runToReturn:
+//   - Loops in the CPU. Once the call has run ffCallCycles, each CPU.Run
+//     stops at the next detection point. There a window of at most
+//     ffWindowInsts single-stepped instructions looks for a repeat of the
+//     registers, EIP and EFLAGS alone (Brent's doubling), takes the
+//     reference at the repeat and runs one more candidate period to
+//     confirm it. A window that does not jump is a miss and doubles the
+//     distance to the call's next point.
+//   - Fault-retry loops. After a handled user fault, runToReturn restarts
+//     the faulting instruction. When the registers, EIP, EFLAGS and fault
+//     depth there match the previous restart's, the reference is taken;
+//     the next matching restart confirms it.
+//
+// Idle mode. Every idle tick records a fingerprint: the registers,
+// EFLAGS, the cycles spent since the previous idle tick, and the number
+// of pages written since arming. When the last 2P fingerprints are
+// P-periodic (P ≤ ffMaxPeriod), the next P ticks are a probe. The probe
+// period runs on the single-step loop with a memory watch on the
+// jiffies dword, and the proof accepts only two uses of jiffies:
 //   - inc dword [jiffies], when the five flags it sets are overwritten
 //     before any instruction reads them;
 //   - a dword compare of jiffies with a register or an immediate, when
@@ -61,72 +88,101 @@ import (
 // period started from the probe's end state takes the probe's exact
 // path, as long as jiffies stays within the horizon: by induction,
 // each later period ends where the probe did, with jiffies grown again
-// by the same amount.
+// by the same amount. The probe period must also cost the cycles the
+// detected period did.
 //
-// Aging. agePages runs every 64 ticks, and a jump skips those passes.
-// It may only skip passes that write nothing, so at every aging point
-// of the probe no used task slot may have a present, writable PTE.
+// Aging. agePages runs every 64 ticks, and an idle jump skips those
+// passes. It may only skip passes that write nothing, so at every aging
+// point of the probe no used task slot may have a present, writable PTE.
 //
-// Jump. k is the largest number of whole periods that stays within
-// every compare's horizon and leaves at least one full period before
-// CycleLimit. Detection starts over after every probe, jump or not.
+// Jump. k is the largest number of whole periods that leaves at least
+// one full period before CycleLimit, and in idle mode also stays within
+// every compare's horizon. Only the cycle counter moves in exact mode;
+// idle mode also advances jiffies, the tick count and the aging slot as
+// k concrete periods would. Each mode stops trying after ffMaxMisses
+// attempts per run that end without a jump.
 
 const (
 	// ffMaxPeriod is the longest period, in idle ticks, detection looks
 	// for.
 	ffMaxPeriod = 64
-	// ffMaxMisses caps the probes per run that end without a jump, so
-	// a stretch that only looks periodic stays cheap.
+	// ffMaxMisses caps the proof attempts per run and mode that end
+	// without a jump, so a stretch that only looks periodic stays cheap.
 	ffMaxMisses = 8
+	// ffCallCycles is how long a kernel call runs before its first
+	// detection point in the CPU, and the first back-off after a miss.
+	// It keeps the idle loop's short calls (timer_interrupt, schedule)
+	// out of detection.
+	ffCallCycles = 65536
+	// ffWindowInsts bounds the instructions a detection window
+	// single-steps looking for a repeat of the registers.
+	ffWindowInsts = 8192
 )
 
-// ffPrint is the cheap fingerprint of one idle tick.
-type ffPrint struct {
-	regs    [8]uint32
-	eip     uint32
-	eflags  uint32
-	cycles  uint64 // cycles spent since the previous idle tick
-	written int    // pages written since arming
-}
+// The proof attempts counted against ffMaxMisses, per run.
+const (
+	ffModeIdle  = iota // idle probes
+	ffModeLoop         // detection windows in the CPU
+	ffModeRetry        // fault-retry references
+	ffModes
+)
 
-// fastForward is the engine's per-run fast-forward state, created when
-// the run arms.
+// fastForward is a run's fast-forward state, created when the run first
+// may fast-forward.
 type fastForward struct {
-	snap    *mem.Snapshot
-	jiffies uint32 // address of the jiffies dword
-	hist    [2 * ffMaxPeriod]ffPrint
-	n       int    // fingerprints recorded since detection last started over
-	last    uint64 // cycle counter at the previous idle tick
-	misses  int
+	snap    *mem.Snapshot // memory at arming; nil until first needed
+	jiffies uint32        // address of the jiffies dword
+	misses  [ffModes]int
+
+	// The idle detection, started at the first idle tick past
+	// GoldenCycles.
+	idle bool
+	hist [2 * ffMaxPeriod]ffPrint
+	n    int    // fingerprints recorded since detection last started over
+	last uint64 // cycle counter at the previous idle tick
 	// resume delays detection to this tick count (the next aging pass)
 	// after a probe was refused because aging still had work to do.
 	resume uint64
 	probe  *ffProbe
 }
 
-// ffProbe is a probe in progress: P ticks run under the proof, then
-// compared against the state at their start.
+// ffPrint is the cheap fingerprint of one idle tick.
+type ffPrint struct {
+	regs    ffRegs
+	cycles  uint64 // cycles spent since the previous idle tick
+	written int    // pages written since arming
+}
+
+// ffProbe is an idle probe in progress: P ticks run under the proof,
+// then compared against the state at their start.
 type ffProbe struct {
 	period int
 	ticks  int    // probe ticks completed
 	cost   uint64 // cycles of the detected period
 	start  ffState
+	trace  int    // engine trace length at the start
+	nlive  int    // live workloads at the start
 	intOn  []bool // per tick: interrupts were on, so aging could run
 	proof  ffProof
 }
 
-// ffState is the exact machine and engine state at a probe's start.
+// ffState is a proof's reference: the machine state at a period's
+// start.
 type ffState struct {
-	regs      [8]uint32
-	eip       uint32
-	eflags    uint32
+	regs      ffRegs
 	cycles    uint64
-	jiffies   uint32
 	console   int
-	trace     int
-	nlive     int
 	panicCode int
-	pages     map[uint32]ffPage
+	jiffies   uint32
+	pages     map[uint32]ffPage // pages written since arming, as they were here
+}
+
+// ffRegs is the CPU-side state the detectors compare cheaply.
+type ffRegs struct {
+	regs       [8]uint32
+	eip        uint32
+	eflags     uint32
+	faultDepth int
 }
 
 // ffPage is one page written since arming: its bytes (nil when
@@ -136,7 +192,312 @@ type ffPage struct {
 	perm mem.Perm
 }
 
-// ffProof observes the probe period instruction by instruction.
+func (m *Machine) ffRegs() ffRegs {
+	return ffRegs{regs: m.CPU.Regs, eip: m.CPU.EIP, eflags: m.CPU.Eflags, faultDepth: m.faultDepth}
+}
+
+// SkippedCycles returns the simulated cycles hang fast-forward has
+// jumped over on this machine, across all runs.
+func (m *Machine) SkippedCycles() uint64 { return m.skipped }
+
+// ffArm returns the run's fast-forward state when the machine may
+// fast-forward now, creating it at the run's first such point; nil
+// when it may not.
+func (m *Machine) ffArm() *fastForward {
+	if m.GoldenCycles == 0 || m.CPU.Cycles <= m.GoldenCycles || m.rec != nil || m.rep != nil ||
+		m.CPU.DREnabled != [4]bool{} || m.proof != nil {
+		return nil
+	}
+	if m.ff == nil {
+		m.ff = &fastForward{jiffies: m.Symbol("jiffies")}
+	}
+	return m.ff
+}
+
+// base returns the run's arming snapshot, taking it on first use.
+func (f *fastForward) base(m *Machine) *mem.Snapshot {
+	if f.snap == nil {
+		f.snap = m.Mem.TakeSnapshot()
+	}
+	return f.snap
+}
+
+// ffCapture takes a proof reference of the current state.
+func (m *Machine) ffCapture() ffState {
+	f := m.ff
+	changed, _ := m.Mem.PagesChangedSince(f.base(m)) // ffSamePages checks ok
+	st := ffState{regs: m.ffRegs(), cycles: m.CPU.Cycles, console: m.Console.Len(), panicCode: m.PanicCode}
+	st.jiffies, _ = m.Mem.Read32(f.jiffies)
+	st.pages = make(map[uint32]ffPage, len(changed))
+	for pn := range changed {
+		pg := ffPage{perm: m.Mem.PermAt(pn << PageShift)}
+		if d := m.Mem.RawPage(pn); d != nil {
+			pg.data = bytes.Clone(d)
+		}
+		st.pages[pn] = pg
+	}
+	return st
+}
+
+// ffSame reports whether the machine is back in reference state st,
+// except that jiffies grew by d (0 in exact mode).
+func (m *Machine) ffSame(st *ffState, d uint32) bool {
+	return m.ffRegs() == st.regs && m.Console.Len() == st.console && m.PanicCode == st.panicCode &&
+		m.ffSamePages(st, d)
+}
+
+// ffSamePages compares every page written since arming with the
+// reference: identical, except that jiffies grew by d. A page first
+// written after the reference compares with the arming snapshot.
+func (m *Machine) ffSamePages(st *ffState, d uint32) bool {
+	f := m.ff
+	changed, ok := m.Mem.PagesChangedSince(f.snap)
+	if !ok {
+		return false
+	}
+	jpn, joff := f.jiffies>>PageShift, f.jiffies&(PageSize-1)
+	if _, ok := changed[jpn]; !ok && d != 0 {
+		return false
+	}
+	for pn := range changed {
+		ref, ok := st.pages[pn]
+		if !ok {
+			ref = ffPage{data: f.snap.RawPage(pn), perm: f.snap.PermAt(pn << PageShift)}
+		}
+		cur := m.Mem.RawPage(pn)
+		if m.Mem.PermAt(pn<<PageShift) != ref.perm || (cur == nil) != (ref.data == nil) {
+			return false
+		}
+		if cur == nil {
+			continue // unmapped at both ends
+		}
+		if pn != jpn {
+			if !bytes.Equal(cur, ref.data) {
+				return false
+			}
+			continue
+		}
+		if !bytes.Equal(cur[:joff], ref.data[:joff]) || !bytes.Equal(cur[joff+4:], ref.data[joff+4:]) ||
+			binary.LittleEndian.Uint32(cur[joff:]) != st.jiffies+d {
+			return false
+		}
+	}
+	return true
+}
+
+// ffPeriods returns how many whole periods of cost cycles a jump may
+// cover: it leaves at least one full period before the watchdog.
+func (m *Machine) ffPeriods(cost uint64) uint64 {
+	if cost == 0 || m.CPU.Cycles >= m.CycleLimit {
+		return 0
+	}
+	k := (m.CycleLimit - m.CPU.Cycles) / cost
+	if k < 2 {
+		return 0
+	}
+	return k - 1
+}
+
+// ffJump advances the cycle counter by k periods of cost cycles.
+func (m *Machine) ffJump(k, cost uint64) {
+	m.CPU.Cycles += k * cost
+	m.skipped += k * cost
+}
+
+// ffConfirm is exact mode's confirm-and-jump: when the machine is back
+// in reference state ref, it jumps whole periods and reports true.
+func (m *Machine) ffConfirm(ref *ffState) bool {
+	cost := m.CPU.Cycles - ref.cycles
+	if !m.ffSame(ref, 0) {
+		return false
+	}
+	k := m.ffPeriods(cost)
+	if k == 0 {
+		return false
+	}
+	m.ffJump(k, cost)
+	return true
+}
+
+// ffCall is one kernel call's in-call detection state: runToReturn
+// keeps one per invocation.
+type ffCall struct {
+	next uint64 // cycle of the next detection point in the CPU
+	gap  uint64 // distance to the point after a miss
+	done bool   // the call jumped: what is left runs live
+	// The fault-retry detector: the registers at the previous restart,
+	// and a reference awaiting its confirmation.
+	prev ffRegs
+	seen bool
+	ref  *ffState
+}
+
+// ffCallStart starts a call's detection: its first point in the CPU is
+// due once it has run ffCallCycles and the run is past GoldenCycles. A
+// machine that never arms gets no point, so its CPU.Run is never cut.
+func (m *Machine) ffCallStart() ffCall {
+	c := ffCall{next: math.MaxUint64, gap: ffCallCycles}
+	if m.GoldenCycles != 0 {
+		c.next = m.CPU.Cycles + ffCallCycles
+		if c.next <= m.GoldenCycles {
+			c.next = m.GoldenCycles + 1
+		}
+	}
+	return c
+}
+
+// budget is the budget of the call's next CPU.Run: up to its next
+// detection point, or to the watchdog when that comes first.
+func (c *ffCall) budget(m *Machine) uint64 {
+	b := m.remainingBudget()
+	if d := c.next - m.CPU.Cycles; d < b {
+		return d
+	}
+	return b
+}
+
+// ffDue reports whether a detection window runs now. A point at which
+// the machine may not fast-forward yet (a recorded prefix may end
+// within the call) moves one gap on.
+func (m *Machine) ffDue(c *ffCall) bool {
+	if m.CPU.Cycles < c.next {
+		return false
+	}
+	f := m.ffArm()
+	switch {
+	case f == nil:
+		c.next = m.CPU.Cycles + c.gap
+		return false
+	case f.misses[ffModeLoop] >= ffMaxMisses:
+		c.next = math.MaxUint64
+		return false
+	}
+	return true
+}
+
+// ffLoop runs a detection window in the CPU. The window is real
+// execution: it stops wherever CPU.Run would.
+func (m *Machine) ffLoop(c *ffCall) (cpu.StopReason, *cpu.Exception) {
+	w := ffWindow{m: m, left: ffWindowInsts, power: 1, lam: 1, tort: m.ffRegs()}
+	reason, exc := stepRun(m.CPU, m.remainingBudget(), &w)
+	if w.ref != nil && w.left == 0 && reason == cpu.StopBudget && m.ffConfirm(w.ref) {
+		c.done, c.next = true, math.MaxUint64
+		return reason, exc
+	}
+	m.ff.misses[ffModeLoop]++
+	c.gap *= 2
+	c.next = m.CPU.Cycles + c.gap
+	return reason, exc
+}
+
+// ffWindow observes a detection window: Brent's cycle search over the
+// registers, then, from the reference, one candidate period.
+type ffWindow struct {
+	m          *Machine
+	left       int // instructions left in the search, then in the period
+	power, lam int
+	tort       ffRegs
+	ref        *ffState
+}
+
+func (w *ffWindow) before(*cpu.CPU) {}
+
+func (w *ffWindow) after(_ *cpu.CPU, err error) bool {
+	if err != nil {
+		return true
+	}
+	w.left--
+	if w.ref != nil {
+		return w.left == 0
+	}
+	r := w.m.ffRegs()
+	if r == w.tort {
+		st := w.m.ffCapture()
+		w.ref, w.left = &st, w.lam
+		return false
+	}
+	if w.left == 0 {
+		return true
+	}
+	if w.power == w.lam {
+		w.tort, w.power, w.lam = r, 2*w.power, 0
+	}
+	w.lam++
+	return false
+}
+
+// ffRetry is the fault-retry detection point: runToReturn is about to
+// restart an instruction whose user fault was handled.
+func (m *Machine) ffRetry(c *ffCall) {
+	f := m.ffArm()
+	if c.done || f == nil || f.misses[ffModeRetry] >= ffMaxMisses {
+		c.seen, c.ref = false, nil
+		return
+	}
+	r := m.ffRegs()
+	switch {
+	case !c.seen || r != c.prev:
+		if c.ref != nil {
+			f.misses[ffModeRetry]++
+			c.ref = nil
+		}
+	case c.ref == nil:
+		st := m.ffCapture()
+		c.ref = &st
+	case m.ffConfirm(c.ref):
+		c.done, c.next, c.ref = true, math.MaxUint64, nil
+	default:
+		f.misses[ffModeRetry]++
+		c.ref = nil
+	}
+	c.prev, c.seen = r, true
+}
+
+// stepObserver watches a single-stepped stretch of kernel code.
+type stepObserver interface {
+	// before runs before every instruction.
+	before(c *cpu.CPU)
+	// after runs after it, with Step's error; true ends the stretch.
+	after(c *cpu.CPU, err error) bool
+}
+
+// stepRun is the single-step reference loop (cpu.CPU.Run with blocks
+// off) with o observing every instruction. It stops where Run would,
+// and also when o ends the stretch, then with StopBudget short of the
+// budget.
+func stepRun(c *cpu.CPU, budget uint64, o stepObserver) (cpu.StopReason, *cpu.Exception) {
+	limit := c.Cycles + budget
+	for c.Cycles < limit {
+		if c.EIP == cpu.HostReturn {
+			return cpu.StopReturned, nil
+		}
+		if c.Stop != nil && c.Stop.Load() {
+			return cpu.StopInterrupted, nil
+		}
+		o.before(c)
+		err := c.Step()
+		end := o.after(c, err)
+		if err != nil {
+			if errors.Is(err, cpu.ErrHalted) {
+				return cpu.StopHalted, nil
+			}
+			var exc *cpu.Exception
+			if errors.As(err, &exc) {
+				return cpu.StopException, exc
+			}
+			return cpu.StopException, &cpu.Exception{Vector: cpu.VecDF, EIP: c.EIP}
+		}
+		if end {
+			break
+		}
+	}
+	if c.EIP == cpu.HostReturn {
+		return cpu.StopReturned, nil
+	}
+	return cpu.StopBudget, nil
+}
+
+// ffProof observes an idle probe period instruction by instruction.
 type ffProof struct {
 	addr    uint32 // the jiffies dword
 	jiffies uint32 // its value, tracked through the accepted incs
@@ -178,43 +539,16 @@ func (p *ffProof) access(addr, n uint32, acc mem.Access) {
 	}
 }
 
-// run is the single-step reference loop (cpu.CPU.Run with blocks off)
-// with the proof observing every instruction.
-func (p *ffProof) run(c *cpu.CPU, budget uint64) (cpu.StopReason, *cpu.Exception) {
-	limit := c.Cycles + budget
-	for c.Cycles < limit {
-		if c.EIP == cpu.HostReturn {
-			return cpu.StopReturned, nil
-		}
-		if c.Stop != nil && c.Stop.Load() {
-			return cpu.StopInterrupted, nil
-		}
-		p.before(c)
-		p.inStep = true
-		err := c.Step()
-		p.inStep = false
-		if err != nil {
-			p.bad = true
-			if errors.Is(err, cpu.ErrHalted) {
-				return cpu.StopHalted, nil
-			}
-			var exc *cpu.Exception
-			if errors.As(err, &exc) {
-				return cpu.StopException, exc
-			}
-			return cpu.StopException, &cpu.Exception{Vector: cpu.VecDF, EIP: c.EIP}
-		}
-		p.after(c)
-	}
-	if c.EIP == cpu.HostReturn {
-		return cpu.StopReturned, nil
-	}
-	return cpu.StopBudget, nil
+// before checks the instruction about to execute; from here on, a
+// watched access is the instruction's own.
+func (p *ffProof) before(c *cpu.CPU) {
+	p.check(c)
+	p.inStep = true
 }
 
-// before decodes the instruction about to execute and checks its flag
+// check decodes the instruction about to execute and checks its flag
 // reads against the taint.
-func (p *ffProof) before(c *cpu.CPU) {
+func (p *ffProof) check(c *cpu.CPU) {
 	p.reads, p.writes = 0, 0
 	p.inst = ia32.Inst{}
 	var buf [ia32.MaxInstLen]byte
@@ -249,12 +583,18 @@ func (p *ffProof) before(c *cpu.CPU) {
 }
 
 // after retires the instruction: flags it overwrote lose their taint,
-// and an accepted use of jiffies adds its own.
-func (p *ffProof) after(c *cpu.CPU) {
+// and an accepted use of jiffies adds its own. A faulting instruction
+// rejects the probe.
+func (p *ffProof) after(c *cpu.CPU, err error) bool {
+	p.inStep = false
+	if err != nil {
+		p.bad = true
+		return false
+	}
 	i := &p.inst
 	p.taint &^= flagsWritten(i)
 	if p.reads+p.writes == 0 {
-		return
+		return false
 	}
 	switch {
 	case i.Op == ia32.OpInc && !i.W8 && p.reads == 1 && p.writes == 1:
@@ -272,13 +612,14 @@ func (p *ffProof) after(c *cpu.CPU) {
 			x = c.Regs[i.Args[0].Reg]
 		default:
 			p.bad = true
-			return
+			return false
 		}
 		p.cmp, p.cmpJ, p.cmpX = true, p.jiffies, x
 		p.taint |= arithFlags
 	default:
 		p.bad = true // any other use: a mov, a string or stack access, a write
 	}
+	return false
 }
 
 // bound narrows the horizon so that jiffies, starting from j, stays in
@@ -370,22 +711,18 @@ func flagsWritten(i *ia32.Inst) uint32 {
 	return 0
 }
 
-// SkippedCycles returns the simulated cycles hang fast-forward has
-// jumped over on this machine, across all runs.
-func (m *Machine) SkippedCycles() uint64 { return m.skipped }
-
 // ffIdle is the fast-forward step at the top of every idle tick.
 func (e *engine) ffIdle() {
-	f, m := e.ff, e.m
-	if f == nil {
-		if m.GoldenCycles == 0 || m.CPU.Cycles <= m.GoldenCycles ||
-			m.rec != nil || m.rep != nil || m.CPU.DREnabled != [4]bool{} {
-			return
+	m := e.m
+	f := m.ff
+	if f == nil || !f.idle {
+		if f = m.ffArm(); f != nil {
+			f.base(m)
+			f.idle, f.last = true, m.CPU.Cycles
 		}
-		e.ff = &fastForward{snap: m.Mem.TakeSnapshot(), jiffies: m.Symbol("jiffies"), last: m.CPU.Cycles}
 		return
 	}
-	if f.misses >= ffMaxMisses {
+	if f.misses[ffModeIdle] >= ffMaxMisses {
 		return
 	}
 	if pr := f.probe; pr != nil {
@@ -394,10 +731,7 @@ func (e *engine) ffIdle() {
 		}
 		return
 	}
-	fp := ffPrint{
-		regs: m.CPU.Regs, eip: m.CPU.EIP, eflags: m.CPU.Eflags,
-		cycles: m.CPU.Cycles - f.last, written: m.Mem.DirtyCount(),
-	}
+	fp := ffPrint{regs: m.ffRegs(), cycles: m.CPU.Cycles - f.last, written: m.Mem.DirtyCount()}
 	f.last = m.CPU.Cycles
 	if e.ticks < f.resume {
 		return
@@ -427,8 +761,9 @@ func (f *fastForward) period() int {
 
 // ffProbe starts a probe of period p at the current idle tick.
 func (e *engine) ffProbe(p int) {
-	f, m := e.ff, e.m
-	pr := &ffProbe{period: p, intOn: make([]bool, p)}
+	m := e.m
+	f := m.ff
+	pr := &ffProbe{period: p, intOn: make([]bool, p), trace: len(e.trace), nlive: e.nlive}
 	for i := 0; i < p; i++ {
 		pr.cost += f.hist[(f.n-1-i)%len(f.hist)].cycles
 	}
@@ -438,20 +773,8 @@ func (e *engine) ffProbe(p int) {
 		f.resume = (e.ticks/64 + 1) * 64
 		return
 	}
-	changed, _ := m.Mem.PagesChangedSince(f.snap) // ffSamePages checks ok
-	st := &pr.start
-	st.regs, st.eip, st.eflags, st.cycles = m.CPU.Regs, m.CPU.EIP, m.CPU.Eflags, m.CPU.Cycles
-	st.console, st.trace, st.nlive, st.panicCode = m.Console.Len(), len(e.trace), e.nlive, m.PanicCode
-	st.jiffies, _ = m.Mem.Read32(f.jiffies)
-	st.pages = make(map[uint32]ffPage, len(changed))
-	for pn := range changed {
-		pg := ffPage{perm: m.Mem.PermAt(pn << PageShift)}
-		if d := m.Mem.RawPage(pn); d != nil {
-			pg.data = bytes.Clone(d)
-		}
-		st.pages[pn] = pg
-	}
-	pr.proof = ffProof{addr: f.jiffies, jiffies: st.jiffies, horizon: math.MaxUint32}
+	pr.start = m.ffCapture()
+	pr.proof = ffProof{addr: f.jiffies, jiffies: pr.start.jiffies, horizon: math.MaxUint32}
 	f.probe = pr
 	m.proof = &pr.proof
 	m.Mem.SetWatch(f.jiffies, 4, pr.proof.access)
@@ -461,7 +784,7 @@ func (e *engine) ffProbe(p int) {
 // on: a probe records that aging could run here and requires that it
 // would write nothing.
 func (e *engine) ffAging() {
-	pr := e.ff.probe
+	pr := e.m.ff.probe
 	pr.intOn[pr.ticks] = true
 	if !e.agingIdle() {
 		pr.proof.bad = true
@@ -489,23 +812,23 @@ func (e *engine) agingIdle() bool {
 // ffBreak ends an idle stretch: a workload is about to run, and host
 // state the fingerprints cannot see moves with it.
 func (e *engine) ffBreak() {
-	if e.ff != nil {
+	if f := e.m.ff; f != nil {
 		e.ffStop()
-		e.ff.n = 0
+		f.n = 0
 	}
 }
 
 // ffStop abandons a probe in progress: the run ended or a workload ran.
 func (e *engine) ffStop() {
-	if e.ff != nil && e.ff.probe != nil {
+	if f := e.m.ff; f != nil && f.probe != nil {
 		e.ffEndProbe()
-		e.ff.misses++
+		f.misses[ffModeIdle]++
 	}
 }
 
 // ffEndProbe takes the proof off the machine and starts detection over.
 func (e *engine) ffEndProbe() *ffProbe {
-	f := e.ff
+	f := e.m.ff
 	pr := f.probe
 	e.m.Mem.ClearWatch()
 	e.m.proof = nil
@@ -519,9 +842,9 @@ func (e *engine) ffEndProbe() *ffProbe {
 func (e *engine) ffFinish() {
 	pr := e.ffEndProbe()
 	if k := e.ffJumpLen(pr); k > 0 {
-		e.ffJump(pr, k)
+		e.ffJumpIdle(pr, k)
 	} else {
-		e.ff.misses++
+		e.m.ff.misses[ffModeIdle]++
 	}
 }
 
@@ -529,75 +852,29 @@ func (e *engine) ffFinish() {
 // provably repeats, leaving one full period before the watchdog; 0
 // when the probe does not hold.
 func (e *engine) ffJumpLen(pr *ffProbe) uint64 {
-	m, st, p := e.m, &pr.start, &pr.proof
-	cost := m.CPU.Cycles - st.cycles
-	if p.bad || p.taint != 0 || cost != pr.cost || cost == 0 ||
-		m.CPU.Regs != st.regs || m.CPU.EIP != st.eip || m.CPU.Eflags != st.eflags ||
-		m.Console.Len() != st.console || len(e.trace) != st.trace || e.nlive != st.nlive ||
-		m.PanicCode != st.panicCode || m.faultDepth != 0 ||
-		!e.ffSamePages(st, p.incs) {
+	m, p := e.m, &pr.proof
+	cost := m.CPU.Cycles - pr.start.cycles
+	if p.bad || p.taint != 0 || cost != pr.cost || len(e.trace) != pr.trace || e.nlive != pr.nlive ||
+		!m.ffSame(&pr.start, p.incs) {
 		return 0
 	}
-	if m.CPU.Cycles >= m.CycleLimit {
-		return 0
-	}
-	k := (m.CycleLimit - m.CPU.Cycles) / cost
-	if k < 2 {
-		return 0
-	}
-	k--
+	k := m.ffPeriods(cost)
 	if p.incs > 0 && uint64(p.horizon/p.incs) < k {
 		k = uint64(p.horizon / p.incs)
 	}
 	return k
 }
 
-// ffSamePages compares every page written since arming with the probe's
-// start: identical, except that jiffies grew by d.
-func (e *engine) ffSamePages(st *ffState, d uint32) bool {
-	f, m := e.ff, e.m
-	changed, ok := m.Mem.PagesChangedSince(f.snap)
-	if !ok || len(changed) != len(st.pages) {
-		return false
-	}
-	jpn, joff := f.jiffies>>PageShift, f.jiffies&(PageSize-1)
-	if _, ok := st.pages[jpn]; !ok && d != 0 {
-		return false
-	}
-	for pn := range changed {
-		pg, ok := st.pages[pn]
-		cur := m.Mem.RawPage(pn)
-		if !ok || m.Mem.PermAt(pn<<PageShift) != pg.perm || (cur == nil) != (pg.data == nil) {
-			return false
-		}
-		if cur == nil {
-			continue // unmapped at both ends
-		}
-		if pn != jpn {
-			if !bytes.Equal(cur, pg.data) {
-				return false
-			}
-			continue
-		}
-		if !bytes.Equal(cur[:joff], pg.data[:joff]) || !bytes.Equal(cur[joff+4:], pg.data[joff+4:]) ||
-			binary.LittleEndian.Uint32(cur[joff:]) != st.jiffies+d {
-			return false
-		}
-	}
-	return true
-}
-
-// ffJump advances the machine by k periods of the proven stretch:
-// jiffies, the cycle counter, the tick count and the aging slot move
-// exactly as k concrete periods would have moved them.
-func (e *engine) ffJump(pr *ffProbe, k uint64) {
-	f, m := e.ff, e.m
+// ffJumpIdle advances the machine by k periods of the proven idle
+// stretch: jiffies, the cycle counter, the tick count and the aging
+// slot move exactly as k concrete periods would have moved them.
+func (e *engine) ffJumpIdle(pr *ffProbe, k uint64) {
+	m := e.m
+	f := m.ff
 	p := uint64(pr.period)
-	cost := m.CPU.Cycles - pr.start.cycles
 	j, _ := m.Mem.Read32(f.jiffies)
 	_ = m.Mem.Write32(f.jiffies, j+uint32(k*uint64(pr.proof.incs)))
-	m.CPU.Cycles += k * cost
-	m.skipped += k * cost
+	m.ffJump(k, m.CPU.Cycles-pr.start.cycles)
 	// Tick ticks+i runs at phase (i-1) mod p of the period; agePages
 	// runs (and moves ageSlot) on multiples of 64 with interrupts on.
 	end := e.ticks + k*p

@@ -7,13 +7,15 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/ia32"
 )
 
-// The fast-forward rule tests drive crafted idle hangs and stretches:
-// each scenario runs twice on freshly booted machines, once with hang
-// fast-forward and once with the reference arm (GoldenCycles left at
-// zero, so nothing arms), and the final states must be identical. Each case also asserts whether a
+// The fast-forward rule tests drive crafted hangs and stretches, idle
+// and inside one kernel call: each scenario runs twice on freshly
+// booted machines, once with hang fast-forward and once with the
+// reference arm (GoldenCycles left at zero, so nothing arms), and the
+// final states must be identical. Each case also asserts whether a
 // jump happened, so a rule that silently stopped applying (or started
 // applying where it must not) fails here.
 
@@ -22,10 +24,13 @@ import (
 const ffBudget = 20_000_000
 
 // ffScenario is one crafted run: setup patches the booted machine the
-// way an injection would, before the workloads start.
+// way an injection would, before the workloads start. With record set,
+// the run starts recording a checkpoint prefix, as a target's first
+// run does, and setup arms the breakpoint that captures it.
 type ffScenario struct {
-	setup func(t *testing.T, m *Machine)
-	ws    []Workload
+	setup  func(t *testing.T, m *Machine)
+	ws     []Workload
+	record bool
 }
 
 // finalState is everything a run can leave behind that a result could
@@ -56,7 +61,11 @@ func (sc ffScenario) run(t *testing.T, ff bool) (finalState, uint64) {
 		m.GoldenCycles = m.CPU.Cycles // arm at the first idle tick
 	}
 	snap := m.TakeSnapshot()
+	if sc.record {
+		m.StartRecording()
+	}
 	res := m.RunWorkloads(sc.ws, ffBudget)
+	m.StopRecording()
 	st := finalState{
 		Trace: res.Trace, Console: res.Console, Cycles: m.CPU.Cycles,
 		EIP: m.CPU.EIP, Eflags: m.CPU.Eflags, Regs: m.CPU.Regs,
@@ -306,5 +315,169 @@ func TestFastForwardProofRules(t *testing.T) {
 	}
 	if flagsWritten(&ia32.Inst{Op: ia32.OpShl}) != 0 {
 		t.Error("a shift must not count as overwriting flags (its count may be zero)")
+	}
+}
+
+// pider makes one getpid call, which the in-call scenarios patch into
+// a loop that never returns.
+var pider = Workload{Name: "pider", Main: func(u *User) {
+	u.Logf("pid %d", u.Syscall(SysGetpid))
+}}
+
+// loopInGetpid returns a scenario whose getpid runs loop, placed at the
+// start of the patch stub.
+func loopInGetpid(loop []byte) ffScenario {
+	return ffScenario{
+		setup: func(t *testing.T, m *Machine) { hookFunc(t, m, "sys_getpid", loop, nil) },
+		ws:    []Workload{pider},
+	}
+}
+
+// backTo returns a jmp rel8 from the end of code back to its start.
+func backTo(code ...byte) []byte {
+	return append(code, 0xEB, byte(-(len(code) + 2)))
+}
+
+// checkInCallHang runs the scenario and requires a hang, jumped or not.
+func checkInCallHang(t *testing.T, sc ffScenario, wantJump bool) {
+	t.Helper()
+	got, skipped := sc.check(t)
+	if got.Err != ErrHang.Error() {
+		t.Fatalf("err = %q, want a hang", got.Err)
+	}
+	switch {
+	case wantJump && skipped < ffBudget/2:
+		t.Fatalf("jumped %d cycles of a %d-cycle in-call hang", skipped, ffBudget)
+	case !wantJump && skipped != 0:
+		t.Fatalf("jumped %d cycles of a stretch that does not repeat", skipped)
+	}
+}
+
+// TestFastForwardInCallJmpSelf: jmp . inside a kernel call repeats
+// exactly with a one-instruction period, and the hang is jumped.
+func TestFastForwardInCallJmpSelf(t *testing.T) {
+	checkInCallHang(t, loopInGetpid([]byte{0xEB, 0xFE}), true)
+}
+
+// TestFastForwardInCallArmsAfterRecordedPrefix: the looping call
+// starts while a checkpoint prefix is recorded, counts down for more
+// than ffCallCycles, and only then passes the breakpoint that captures
+// the checkpoint and ends the recording. So the call's first detection
+// point comes while it may not fast-forward, and CPU.Run must still
+// stop at a later point, where the jmp . after the breakpoint is
+// jumped.
+func TestFastForwardInCallArmsAfterRecordedPrefix(t *testing.T) {
+	loop := binary.LittleEndian.AppendUint32([]byte{0xB9}, 4*ffCallCycles) // mov ecx, n
+	loop = append(loop, 0x49, 0x75, 0xFD)                                  // dec ecx; jnz -3
+	bp := len(loop)
+	loop = append(loop, 0x90, 0xEB, 0xFE) // nop (the breakpoint); jmp .
+	sc := loopInGetpid(loop)
+	patch := sc.setup
+	sc.record = true
+	sc.setup = func(t *testing.T, m *Machine) {
+		patch(t, m)
+		m.CPU.OnBreakpoint = func(c *cpu.CPU, dr int) {
+			if m.CaptureCheckpoint() == nil {
+				t.Error("no recording to capture")
+			}
+			c.ClearBreakpoint(dr)
+		}
+		m.CPU.SetBreakpoint(0, uint32(TextArch+TextSize-0x100+bp))
+	}
+	checkInCallHang(t, sc, true)
+}
+
+// TestFastForwardInCallSameStore: a loop that stores the same value
+// every period writes its page, but the page matches the reference,
+// so the hang is jumped.
+func TestFastForwardInCallSameStore(t *testing.T) {
+	checkInCallHang(t, ffScenario{
+		setup: func(t *testing.T, m *Machine) {
+			store := append(abs32([]byte{0xC7, 0x05}, m.Symbol("umask_val")), 0x5A, 0x5A, 0x5A, 0x5A) // mov dword [umask_val], imm
+			hookFunc(t, m, "sys_getpid", backTo(store...), nil)
+		},
+		ws: []Workload{pider},
+	}, true)
+}
+
+// TestFastForwardInCallCounter: a loop that adds to a memory counter
+// repeats its registers and EFLAGS every period, but not its memory,
+// so nothing is jumped.
+func TestFastForwardInCallCounter(t *testing.T) {
+	checkInCallHang(t, ffScenario{
+		setup: func(t *testing.T, m *Machine) {
+			add := append(abs32([]byte{0x81, 0x05}, m.Symbol("umask_val")), 0x00, 0x01, 0x00, 0x00) // add dword [umask_val], 0x100
+			hookFunc(t, m, "sys_getpid", backTo(add...), nil)
+		},
+		ws: []Workload{pider},
+	}, false)
+}
+
+// TestFastForwardInCallFaultRetry: getpid marks a page of its task's
+// arena present in the task's page table without mapping it, then
+// reads it. do_page_fault finds the PTE present and reports the fault
+// handled without mapping anything, so the read faults again forever:
+// a fault-retry loop, which is jumped.
+func TestFastForwardInCallFaultRetry(t *testing.T) {
+	const page = 0x40 // inside the arena's first VMA
+	var stub []byte
+	stub = append(stub, 0x8B, 0x1D) // mov ebx, [current]
+	stub = binary.LittleEndian.AppendUint32(stub, 0)
+	stub = append(stub, 0x81, 0x8B) // or dword [ebx+TaskPTEs+page*4], PTEPresent
+	stub = binary.LittleEndian.AppendUint32(stub, TaskPTEs+page*4)
+	stub = binary.LittleEndian.AppendUint32(stub, PTEPresent)
+	stub = append(stub, 0x8B, 0x43, TaskArena) // mov eax, [ebx+TaskArena]
+	stub = append(stub, 0x8B, 0x80)            // mov eax, [eax+page*PageSize]
+	stub = binary.LittleEndian.AppendUint32(stub, page*PageSize)
+	checkInCallHang(t, ffScenario{
+		setup: func(t *testing.T, m *Machine) {
+			binary.LittleEndian.PutUint32(stub[2:], m.Symbol("current"))
+			hookFunc(t, m, "sys_getpid", stub, nil)
+		},
+		ws: []Workload{pider},
+	}, true)
+}
+
+// TestFastForwardInCallCountdown: a register countdown that would end
+// just past the watchdog never repeats its registers, so nothing is
+// jumped and the watchdog fires inside the countdown.
+func TestFastForwardInCallCountdown(t *testing.T) {
+	countdown := func(n uint32) ffScenario {
+		loop := binary.LittleEndian.AppendUint32([]byte{0xB9}, n) // mov ecx, n
+		loop = append(loop, 0x49, 0x75, 0xFD)                     // dec ecx; jnz -3
+		return loopInGetpid(loop)
+	}
+	// Measure how many iterations fit before the watchdog, then count
+	// down from just past that.
+	st, _ := countdown(ffBudget).run(t, false)
+	n := ffBudget - st.Regs[ia32.ECX] + 4
+	checkInCallHang(t, countdown(n), false)
+}
+
+// TestFastForwardInCallConsole: a loop that writes the console port
+// repeats its registers and memory, but the console grows every
+// period, so nothing is jumped.
+func TestFastForwardInCallConsole(t *testing.T) {
+	checkInCallHang(t, loopInGetpid(backTo(0xE6, PortConsole)), false) // out 0xE9, al
+}
+
+// TestFastForwardJumpLength: a jump covers whole periods and leaves at
+// least one full period, and at most two, before the watchdog, so the
+// watchdog fires in real execution.
+func TestFastForwardJumpLength(t *testing.T) {
+	m := &Machine{CPU: &cpu.CPU{}, CycleLimit: 1000}
+	for _, tc := range []struct{ cycles, cost, want uint64 }{
+		{100, 100, 8}, // 900 left: jump 800, run the last 100
+		{150, 100, 7}, // 850 left: jump 700, run 150
+		{100, 450, 1},
+		{100, 500, 0}, // one period left: nothing to jump
+		{999, 1, 0},
+		{1000, 1, 0},
+		{100, 0, 0},
+	} {
+		m.CPU.Cycles = tc.cycles
+		if got := m.ffPeriods(tc.cost); got != tc.want {
+			t.Errorf("at %d, period %d: %d periods, want %d", tc.cycles, tc.cost, got, tc.want)
+		}
 	}
 }

@@ -85,8 +85,11 @@ type Machine struct {
 	// every cycle is simulated; results are identical either way.
 	GoldenCycles uint64
 
-	// proof, when non-nil, runs kernel code on the single-step loop
-	// under a fast-forward probe; skipped counts the cycles jumped.
+	// ff is the run's hang fast-forward state (fastforward.go), nil
+	// until the run arms; proof, when non-nil, runs kernel code on the
+	// single-step loop under an idle probe; skipped counts the cycles
+	// jumped.
+	ff      *fastForward
 	proof   *ffProof
 	skipped uint64
 
@@ -443,19 +446,31 @@ func (m *Machine) callAddr(addr uint32, args []uint32) (uint32, error) {
 // runToReturn drives the CPU from the current EIP until the in-flight
 // call returns to the host, crashes, hangs, or is stopped. It is also
 // the entry point for resuming a checkpointed call mid-execution.
+//
+// Each invocation also runs in-call hang fast-forward (fastforward.go):
+// CPU.Run stops at the call's detection points, where a window looks
+// for a loop in the CPU, and every restart after a handled user fault
+// is a fault-retry detection point.
 func (m *Machine) runToReturn() (uint32, error) {
+	c := m.ffCallStart()
 	for {
 		var reason cpu.StopReason
 		var exc *cpu.Exception
-		if m.proof != nil {
-			reason, exc = m.proof.run(m.CPU, m.remainingBudget())
-		} else {
-			reason, exc = m.CPU.Run(m.remainingBudget())
+		switch {
+		case m.proof != nil:
+			reason, exc = stepRun(m.CPU, m.remainingBudget(), m.proof)
+		case m.ffDue(&c):
+			reason, exc = m.ffLoop(&c)
+		default:
+			reason, exc = m.CPU.Run(c.budget(m))
 		}
 		switch reason {
 		case cpu.StopReturned:
 			return m.CPU.Regs[ia32.EAX], nil
 		case cpu.StopBudget:
+			if m.CPU.Cycles < m.CycleLimit {
+				continue // a detection point, not the watchdog
+			}
 			return 0, ErrHang
 		case cpu.StopInterrupted:
 			return 0, ErrStopped
@@ -472,6 +487,7 @@ func (m *Machine) runToReturn() (uint32, error) {
 					return 0, err
 				}
 				if handled {
+					m.ffRetry(&c)
 					continue // restart the faulting instruction
 				}
 			}
@@ -592,6 +608,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.faultStack = m.faultStack[:0]
 	m.rec = nil
 	m.rep = nil
+	m.ff = nil
 	m.SyscallHook = nil
 	m.Console.Reset()
 }

@@ -806,6 +806,15 @@ func (s *Snapshot) RawPage(pn uint32) []byte {
 	return nil
 }
 
+// PermAt returns the permissions of addr's page as they were when s was
+// taken (0 when the page was unmapped).
+func (s *Snapshot) PermAt(addr uint32) Perm {
+	if p, ok := s.pages[addr>>pageShift]; ok {
+		return p.perm
+	}
+	return 0
+}
+
 // TakeSnapshot captures the current state and resets dirty tracking.
 // No page data is copied: the live pages are marked shared (immutable)
 // and later writes clone on demand, so the call is O(mapped pages)
