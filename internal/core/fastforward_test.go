@@ -49,10 +49,11 @@ func machineDiff(ma, mb *kernel.Machine, sa, sb *kernel.Snapshot) string {
 // in full from the pristine snapshot. After every run the Results and
 // the final machine states must be identical. A ResultSet does not
 // record a hang's cycle count, so the machine comparison is what
-// catches a jump that lands whole periods off, or a replay that resumes
-// from a wrongly restored state. The fast-forward studies must also
-// actually jump some of their hangs, so the oracle cannot pass
-// vacuously; inject's TestSyscallCheckpointCensus counts the replays of
+// catches a jump that lands whole periods off, or a replay or record
+// run that resumes from a wrongly restored state. The fast-forward
+// studies must also actually jump some of their hangs, so the oracle
+// cannot pass vacuously; inject's TestSyscallCheckpointCensus and
+// TestRungCensus count the replays and the rung-resumed record runs of
 // the checkpoint studies.
 func TestFastForwardFinalStateOracle(t *testing.T) {
 	if testing.Short() {
@@ -75,6 +76,12 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 		{"disk", "disk", 1, 2, 0, false, nil},
 		{"syscall-checkpoint", "syscall", 1, 0, 0, true, nil},    // 76 of 114 runs replay
 		{"syscall-checkpoint-s3", "syscall", 3, 0, 0, true, nil}, // 90 of 135 runs replay
+		// The point models against full runs, every function at
+		// -max-targets 2: record runs resume rungs, siblings replay, and
+		// never-reached PCs are synthesized.
+		{"bitflip-checkpoint", "bitflip", 1, 2, 0, true, nil},
+		{"burst-checkpoint", "burst", 1, 2, 0, true, nil},
+		{"regflip-checkpoint", "regflip", 1, 2, 0, true, nil},
 		// The ten hangs of sub8 (seed 2003, -max-targets 8) whose watchdog
 		// fires inside one kernel call, every one of which must jump:
 		// fault-retry loops at A:19 verify_area+0x17, A:32
@@ -114,7 +121,7 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 			// run; these equal it, and the page comparison is relative to
 			// them.
 			sff, sref := ff.M.TakeSnapshot(), ref.M.TakeSnapshot()
-			runs, hangs, jumped := 0, 0, 0
+			runs, hangs, jumped, synthesized := 0, 0, 0, 0
 			for _, c := range s.Cfg.Campaigns {
 				targets, err := s.Targets(c)
 				if err != nil {
@@ -133,7 +140,11 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%v:%d (%s): results differ:\nstudy     %+v\nreference %+v", c, i, tg.Func.Name, got, want)
 					}
-					if d := machineDiff(ff.M, ref.M, sff, sref); d != "" {
+					// A synthesized result runs nothing, so there is no final
+					// state to compare.
+					if ff.LastProvenance() == inject.ProvSynthesized {
+						synthesized++
+					} else if d := machineDiff(ff.M, ref.M, sff, sref); d != "" {
 						t.Fatalf("%v:%d (%s, %v): final machine states differ in %s", c, i, tg.Func.Name, got.Outcome, d)
 					}
 					runs++
@@ -145,7 +156,7 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d runs, %d hangs, %d jumped", runs, hangs, jumped)
+			t.Logf("%d runs (%d synthesized), %d hangs, %d jumped", runs, synthesized, hangs, jumped)
 			if jumped < tc.minJumped {
 				t.Fatalf("only %d of %d hangs jumped, want at least %d", jumped, hangs, tc.minJumped)
 			}

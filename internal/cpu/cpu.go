@@ -120,10 +120,11 @@ type CPU struct {
 	// enabled debug-register address. The hook typically flips a bit at
 	// the address and disables the register (the injection driver).
 	OnBreakpoint func(c *CPU, dr int)
-	// Coverage, when set, marks every EIP at which Step starts an
-	// instruction, at the debug-register check: after a run it holds
-	// exactly the PCs where an execute breakpoint could have fired.
-	// Run single-steps while it is set.
+	// Coverage, when set, records the cycle counter at the first start
+	// of an instruction at every EIP, at the debug-register check: after
+	// a run it holds exactly the PCs where an execute breakpoint could
+	// have fired, and when it first could have. Run single-steps while
+	// it is set.
 	Coverage *Coverage
 
 	// Port I/O hooks. OnOut receives OUT writes (console, panic port);
@@ -263,32 +264,42 @@ func (c *CPU) SetBreakpoint(dr int, addr uint32) {
 // ClearBreakpoint disarms debug register dr.
 func (c *CPU) ClearBreakpoint(dr int) { c.DREnabled[dr] = false }
 
-// Coverage is a bitmap of the instruction-start addresses in
-// [base, base+size).
+// Coverage is the table of instruction-start addresses in
+// [base, base+size): each started address maps to the cycle counter at
+// its first start.
 type Coverage struct {
 	base, size uint32
-	bits       []uint64
+	first      map[uint32]uint64
+	// seen caches addresses already in first, direct-mapped by a hash,
+	// so that most steps of a loop skip the map.
+	seen [1 << 12]uint32
 }
 
-// NewCoverage returns an empty bitmap over [base, base+size).
+// NewCoverage returns an empty table over [base, base+size).
 func NewCoverage(base, size uint32) *Coverage {
-	return &Coverage{base: base, size: size, bits: make([]uint64, (size+63)/64)}
+	return &Coverage{base: base, size: size, first: make(map[uint32]uint64)}
 }
 
-func (v *Coverage) mark(eip uint32) {
-	if off := eip - v.base; off < v.size {
-		v.bits[off>>6] |= 1 << (off & 63)
+func (v *Coverage) mark(eip uint32, cycles uint64) {
+	h := eip * 0x9E3779B1 >> 20
+	if v.seen[h] == eip || eip-v.base >= v.size {
+		return
+	}
+	v.seen[h] = eip
+	if _, seen := v.first[eip]; !seen {
+		v.first[eip] = cycles
 	}
 }
 
-// Started reports whether an instruction was started at addr; known is
-// false when addr lies outside the bitmap.
-func (v *Coverage) Started(addr uint32) (started, known bool) {
-	off := addr - v.base
-	if off >= v.size {
-		return false, false
+// FirstStart returns the cycle counter at the first start of an
+// instruction at addr; started is false when none was started there,
+// and known is false when addr lies outside the table.
+func (v *Coverage) FirstStart(addr uint32) (cycle uint64, started, known bool) {
+	if addr-v.base >= v.size {
+		return 0, false, false
 	}
-	return v.bits[off>>6]&(1<<(off&63)) != 0, true
+	cycle, started = v.first[addr]
+	return cycle, started, true
 }
 
 // StopReason tells why Run returned.
@@ -346,7 +357,7 @@ func (c *CPU) Step() error {
 		}
 	}
 	if c.Coverage != nil {
-		c.Coverage.mark(c.EIP)
+		c.Coverage.mark(c.EIP, c.Cycles)
 	}
 
 	if c.icache == nil {

@@ -8,27 +8,27 @@ import (
 
 // breakpointFires runs r's golden workload from its pristine snapshot
 // with an execute breakpoint at pc that changes nothing, and reports
-// whether it fired.
-func breakpointFires(r *Runner, pc uint32) bool {
+// whether it fired and at which cycle.
+func breakpointFires(r *Runner, pc uint32) (fired bool, cycle uint64) {
 	m := r.M
 	m.Restore(r.snap)
-	fired := false
 	m.CPU.OnBreakpoint = func(c *cpu.CPU, dr int) {
-		fired = true
+		fired, cycle = true, c.Cycles
 		c.ClearBreakpoint(dr)
 	}
 	m.CPU.SetBreakpoint(0, pc)
 	m.RunWorkloads(r.Workloads, r.Budget)
 	m.CPU.OnBreakpoint = nil
 	m.CPU.ClearBreakpoint(0)
-	return fired
+	return fired, cycle
 }
 
 // TestCoverageMatchesBreakpoints: the golden run's coverage of a PC
 // must be exactly whether an execute breakpoint there fires on a
-// NoCheckpoint runner, at every instruction start of a function the
-// workload never runs (cpu_idle), two hot ones, and one whose error
-// paths the workload leaves mostly unexplored (open_namei).
+// NoCheckpoint runner, and its first-start cycle the cycle it fires at,
+// at every instruction start of a function the workload never runs
+// (cpu_idle), two hot ones, and one whose error paths the workload
+// leaves mostly unexplored (open_namei).
 func TestCoverageMatchesBreakpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("one golden-length run per instruction")
@@ -52,8 +52,12 @@ func TestCoverageMatchesBreakpoints(t *testing.T) {
 			if !known {
 				t.Fatalf("%s+%#x: coverage unknown", name, pc-fn.Addr)
 			}
-			if want := breakpointFires(ref, pc); got != want {
-				t.Errorf("%s+%#x: coverage says reached=%v, the breakpoint fired=%v", name, pc-fn.Addr, got, want)
+			fired, at := breakpointFires(ref, pc)
+			if got != fired {
+				t.Errorf("%s+%#x: coverage says reached=%v, the breakpoint fired=%v", name, pc-fn.Addr, got, fired)
+			}
+			if first, _, _ := ckpt.cov.FirstStart(pc); got && first != at {
+				t.Errorf("%s+%#x: first start at cycle %d, the breakpoint fired at %d", name, pc-fn.Addr, first, at)
 			}
 			if got {
 				reached++

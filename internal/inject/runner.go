@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -95,9 +96,11 @@ type Runner struct {
 	snap       *kernel.Snapshot
 	goldenFP   string
 	goldenDisk [32]byte
-	// goldenSys counts the golden run's syscall invocations per number
-	// (the occurrence space of the syscall error-return model).
-	goldenSys map[int]uint64
+	// goldenSys holds, per syscall number, the cycle counter at each of
+	// the golden run's invocations: their count is the occurrence space
+	// of the syscall error-return model, and the Nth cycle is the first
+	// golden activation of a (number, N) key.
+	goldenSys map[int][]uint64
 
 	// model is the fault model every target handed to this runner
 	// belongs to (never nil; bitflip by default).
@@ -108,17 +111,21 @@ type Runner struct {
 
 	// checkpointing enables the checkpoint layer: a point-model target
 	// at a PC the golden run never reached is answered from cov; the
-	// first target at each other activation key records the golden
-	// prefix and captures a machine checkpoint at the activation event
-	// (the PC's breakpoint, or the syscall's hook boundary); later
-	// targets with the same key replay from the checkpoint
-	// (activation-to-outcome only). Results are byte-identical either
-	// way.
+	// first target at each other activation key (its record run) runs
+	// the golden prefix and captures a machine checkpoint at the
+	// activation event (the PC's breakpoint, or the syscall's hook
+	// boundary); later targets with the same key replay from the
+	// checkpoint (activation-to-outcome only). Results are
+	// byte-identical either way.
 	checkpointing bool
-	// cov is the golden run's coverage of kernel text, recorded for
-	// point models when checkpointing is on. It is nil when the golden
-	// run changed a page a text window can read, so that a never-run
-	// target's windows would not be the pristine bytes.
+	// golden is the golden run's op log, recorded when checkpointing is
+	// on: every checkpoint is a position in it.
+	golden *kernel.GoldenLog
+	// cov is the golden run's coverage of kernel text, each started PC
+	// with the cycle of its first start, recorded for point models when
+	// checkpointing is on. It is nil when the golden run changed a page
+	// a text window can read, so that a never-run target's windows would
+	// not be the pristine bytes.
 	cov *cpu.Coverage
 	// cps holds the checkpoints of one key group (ActivationKey.Group),
 	// one per key. Targets arrive grouped: the bytes and bits of one
@@ -127,6 +134,11 @@ type Runner struct {
 	// so the targets sharing a key sit three ordinals apart. A target
 	// from another group drops them all.
 	cps []cpEntry
+	// rungs is the ladder a record run resumes from: the checkpoint
+	// captured last in each of rungBins equal bins of golden cycles.
+	rungs [rungBins]*kernel.Checkpoint
+	// prov is how the last RunTarget produced its result.
+	prov Provenance
 	// diskBuf is the scratch buffer severity() assembles the ramdisk
 	// into for fsck, reused across runs. It is maintained
 	// incrementally: refillDiskBuf rolls it back to the post-golden-run
@@ -174,8 +186,14 @@ func (r *Runner) GoldenDiskHash() [32]byte { return r.goldenDisk }
 
 // GoldenSyscallCounts returns the golden run's per-syscall invocation
 // counts; the syscall error-return model enumerates its occurrence
-// targets from them. Callers must not mutate the map.
-func (r *Runner) GoldenSyscallCounts() map[int]uint64 { return r.goldenSys }
+// targets from them.
+func (r *Runner) GoldenSyscallCounts() map[int]uint64 {
+	counts := make(map[int]uint64, len(r.goldenSys))
+	for nr, cycles := range r.goldenSys {
+		counts[nr] = uint64(len(cycles))
+	}
+	return counts
+}
 
 // Model returns the fault model this runner executes targets for.
 func (r *Runner) Model() FaultModel { return r.model }
@@ -233,6 +251,32 @@ type cpEntry struct {
 	cp  *kernel.Checkpoint
 }
 
+// rungBins is the number of golden-cycle bins the rung ladder keeps one
+// checkpoint in.
+const rungBins = 8
+
+// Provenance is how the runner produced a result.
+type Provenance uint8
+
+// Provenances, as LastProvenance reports them.
+const (
+	// ProvFull is a full run from the pristine snapshot: checkpointing
+	// is off.
+	ProvFull Provenance = iota
+	// ProvSynthesized is a Not Activated result answered from golden
+	// coverage without running.
+	ProvSynthesized
+	// ProvReplay is a sibling replayed from its key's checkpoint.
+	ProvReplay
+	// ProvRecord is a record run from the pristine snapshot.
+	ProvRecord
+	// ProvRecordRung is a record run resumed from a rung.
+	ProvRecordRung
+)
+
+// LastProvenance reports how the last RunTarget produced its result.
+func (r *Runner) LastProvenance() Provenance { return r.prov }
+
 func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOptions) (*Runner, error) {
 	model := opts.Model
 	if model == nil {
@@ -255,17 +299,22 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 		cov = cpu.NewCoverage(textBase, textSpan)
 	}
 
-	// Count the golden run's syscalls (the enumeration space of the
-	// syscall error-return model). The observer returns handled=false,
-	// so the golden run is not perturbed.
-	r.goldenSys = make(map[int]uint64)
+	// Time the golden run's syscalls (their count is the enumeration
+	// space of the syscall error-return model). The observer returns
+	// handled=false, so the golden run is not perturbed.
+	r.goldenSys = make(map[int][]uint64)
 	m.SyscallHook = func(nr int, args [4]uint32) (int32, bool) {
-		r.goldenSys[nr]++
+		r.goldenSys[nr] = append(r.goldenSys[nr], m.CPU.Cycles)
 		return 0, false
 	}
 	wallStart := time.Now()
 	m.CPU.Coverage = cov
-	res := m.RunWorkloads(ws, 1<<40)
+	var res *kernel.RunResult
+	if r.checkpointing {
+		res, r.golden = m.RecordGolden(r.snap, ws, 1<<40)
+	} else {
+		res = m.RunWorkloads(ws, 1<<40)
+	}
 	m.CPU.Coverage = nil
 	m.SyscallHook = nil
 	if res.Err != nil {
@@ -334,50 +383,110 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 // PC the golden run never reached has its Not Activated result
 // synthesized without running: the run would be the golden run, whose
 // coverage shows the breakpoint cannot fire. The first target at each
-// other activation key runs in full while recording, capturing a
-// machine checkpoint at its activation event; later targets with the
-// same key replay from the checkpoint. Results are byte-identical to
-// full runs in every mode.
+// other activation key is a record run: it resumes the rung captured
+// latest before the key's first golden activation (or starts from the
+// pristine snapshot), runs to its activation event and captures a
+// machine checkpoint there; later targets with the same key replay
+// from the checkpoint. Results are byte-identical to full runs in every
+// mode.
 func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
+	r.prov = ProvFull
 	var (
-		key ActivationKey
-		cp  *kernel.Checkpoint
+		key        ActivationKey
+		from       *kernel.Checkpoint // the sibling's checkpoint, or the record run's rung
+		record     bool
+		act, known = r.goldenActivation(t)
 	)
 	if r.checkpointing {
 		if reached, known := r.GoldenReached(t.InstAddr); known && !reached {
+			r.prov = ProvSynthesized
 			return r.synthNotActivated(c, t), nil
 		}
 		key = r.model.ActivationKey(t)
-		cp = r.cachedCheckpoint(key)
+		r.prov = ProvReplay
+		if from = r.cachedCheckpoint(key); from == nil {
+			record, r.prov = true, ProvRecord
+			if known {
+				from = r.rungBelow(act)
+			}
+			if from != nil {
+				r.prov = ProvRecordRung
+			}
+		}
 	}
-	record := r.checkpointing && cp == nil
 	var (
-		res     Result
-		kcp     *kernel.Checkpoint
-		hf      *HarnessFault
-		reached bool // the golden run reached t's activation event
+		res Result
+		kcp *kernel.Checkpoint
+		hf  *HarnessFault
 	)
 	if am, ok := r.model.(ArmedModel); ok {
-		res, kcp, hf = r.armedTarget(am, c, t, cp, record)
-		reached = t.Occurrence <= r.goldenSys[t.SysNr]
+		res, kcp, hf = r.armedTarget(am, c, t, from, record)
 	} else {
-		res, kcp, hf = r.pointTarget(r.model.(PointModel), c, t, cp, record)
-		reached, _ = r.GoldenReached(t.InstAddr)
+		res, kcp, hf = r.pointTarget(r.model.(PointModel), c, t, from, record)
 	}
 	switch {
 	case hf != nil:
-		// The checkpoints (or the machine state) are suspect: the next
-		// attempt re-records from pristine state.
-		r.cps = nil
+	case kcp != nil && known && kcp.Cycles() != act:
+		hf = newFault(FaultReplayDiverged, t,
+			"the record run captured at cycle %d, the golden run first reaches the activation event at %d",
+			kcp.Cycles(), act)
 	case kcp != nil:
 		r.cps = append(r.cps, cpEntry{key: key, cp: kcp})
-	case record && reached:
+		r.rungs[r.rungBin(kcp.Cycles())] = kcp
+	case record && known && act != never:
 		// Until its activation event a run is the golden run, so this
 		// one left its golden path.
 		hf = newFault(FaultReplayDiverged, t,
 			"the run left its golden path: the golden run reached the activation event, the record run never did")
 	}
+	if hf != nil {
+		// The checkpoints (or the machine state) are suspect: the next
+		// attempt re-records from pristine state.
+		r.cps, r.rungs = nil, [rungBins]*kernel.Checkpoint{}
+	}
 	return res, hf
+}
+
+// never is the first golden activation of a key the golden run never
+// reaches.
+const never = math.MaxUint64
+
+// goldenActivation returns the cycle counter at which the golden run
+// first reaches t's activation event (never when it does not); known is
+// false when the runner cannot tell (checkpointing is off, or golden
+// coverage is unknown for t's PC).
+func (r *Runner) goldenActivation(t Target) (cycle uint64, known bool) {
+	if r.cov != nil {
+		cycle, started, known := r.cov.FirstStart(t.InstAddr)
+		if !started {
+			cycle = never
+		}
+		return cycle, known
+	}
+	if _, armed := r.model.(ArmedModel); !armed || !r.checkpointing {
+		return 0, false
+	}
+	if cycles := r.goldenSys[t.SysNr]; t.Occurrence >= 1 && t.Occurrence <= uint64(len(cycles)) {
+		return cycles[t.Occurrence-1], true
+	}
+	return never, true
+}
+
+// rungBelow returns the rung with the largest capture cycle strictly
+// below cycle, or nil.
+func (r *Runner) rungBelow(cycle uint64) *kernel.Checkpoint {
+	var best *kernel.Checkpoint
+	for _, cp := range r.rungs {
+		if cp != nil && cp.Cycles() < cycle && (best == nil || cp.Cycles() > best.Cycles()) {
+			best = cp
+		}
+	}
+	return best
+}
+
+// rungBin returns the ladder bin of a checkpoint captured at cycle.
+func (r *Runner) rungBin(cycle uint64) int {
+	return int(min(cycle, r.GoldenCycles) * rungBins / (r.GoldenCycles + 1))
 }
 
 // cachedCheckpoint returns the cached checkpoint for key, or nil. A key
@@ -404,16 +513,18 @@ func (r *Runner) GoldenReached(pc uint32) (reached, known bool) {
 	if r.cov == nil {
 		return false, false
 	}
-	return r.cov.Started(pc)
+	_, reached, known = r.cov.FirstStart(pc)
+	return reached, known
 }
 
 // pointTarget runs t with a point model's fault applied at its
-// breakpoint PC. With cp it replays the golden prefix from the
-// checkpoint and applies the fault on resuming at the breakpoint;
-// otherwise it runs from the pristine snapshot, and with record set it
-// also logs the prefix and returns the checkpoint captured at the
-// breakpoint.
-func (r *Runner) pointTarget(pm PointModel, c Campaign, t Target, cp *kernel.Checkpoint, record bool) (Result, *kernel.Checkpoint, *HarnessFault) {
+// breakpoint PC. A sibling (record false) replays the golden prefix
+// from its checkpoint from and applies the fault on resuming at the
+// breakpoint. A record run resumes the rung from, or starts from the
+// pristine snapshot when from is nil, and returns the checkpoint
+// captured at the breakpoint. With checkpointing off it runs in full
+// from the pristine snapshot.
+func (r *Runner) pointTarget(pm PointModel, c Campaign, t Target, from *kernel.Checkpoint, record bool) (Result, *kernel.Checkpoint, *HarnessFault) {
 	m := r.M
 	res := Result{Campaign: c, Target: t, Severity: SeverityNone,
 		OrigWindow: r.pristineWindow(t.InstAddr)}
@@ -426,15 +537,11 @@ func (r *Runner) pointTarget(pm PointModel, c Campaign, t Target, cp *kernel.Che
 		res.Activated = true
 		res.ActivationCycle = cycle
 	}
-	if cp != nil {
-		run := m.RunWorkloadsFromCheckpoint(cp, r.Workloads, func(*kernel.Machine) { apply(cp.Cycles()) })
+	if from != nil && !record {
+		run := m.RunWorkloadsFromCheckpoint(from, r.Workloads, func(*kernel.Machine) { apply(from.Cycles()) })
 		return res, nil, r.finishRun(&res, run, t, bpFault)
 	}
 
-	m.Restore(r.snap)
-	if record {
-		m.StartRecording()
-	}
 	var kcp *kernel.Checkpoint
 	m.CPU.OnBreakpoint = func(_ *cpu.CPU, dr int) {
 		if record {
@@ -445,32 +552,38 @@ func (r *Runner) pointTarget(pm PointModel, c Campaign, t Target, cp *kernel.Che
 		m.CPU.ClearBreakpoint(dr)
 		apply(m.CPU.Cycles)
 	}
-	m.CPU.SetBreakpoint(0, t.InstAddr)
-	run := m.RunWorkloads(r.Workloads, r.Budget)
-	m.StopRecording()
+	arm := func(m *kernel.Machine) { m.CPU.SetBreakpoint(0, t.InstAddr) }
+	if from == nil {
+		m.Restore(r.snap)
+	}
+	var run *kernel.RunResult
+	if record {
+		run = m.RecordWorkloads(r.golden, from, r.Workloads, r.Budget, arm)
+	} else {
+		arm(m)
+		run = m.RunWorkloads(r.Workloads, r.Budget)
+	}
 	m.CPU.OnBreakpoint = nil
 	m.CPU.ClearBreakpoint(0)
 	return res, kcp, r.finishRun(&res, run, t, bpFault)
 }
 
 // armedTarget runs t with an armed model's fault installed before the
-// run (syscall, disk). With cp it replays the golden prefix from the
-// checkpoint and resumes live at the activation event, where the
-// model's hook applies the fault; otherwise it runs from the pristine
-// snapshot, and with record set it also logs the prefix and returns
-// the checkpoint captured at the activation event (Armed.OnActivate).
-func (r *Runner) armedTarget(am ArmedModel, c Campaign, t Target, cp *kernel.Checkpoint, record bool) (Result, *kernel.Checkpoint, *HarnessFault) {
+// run (syscall, disk). A sibling (record false) replays the golden
+// prefix from its checkpoint from and resumes live at the activation
+// event, where the model's hook applies the fault. A record run resumes
+// the rung from, or starts from the pristine snapshot when from is nil,
+// and returns the checkpoint captured at the activation event
+// (Armed.OnActivate). With checkpointing off it runs in full from the
+// pristine snapshot.
+func (r *Runner) armedTarget(am ArmedModel, c Campaign, t Target, from *kernel.Checkpoint, record bool) (Result, *kernel.Checkpoint, *HarnessFault) {
 	m := r.M
 	res := Result{Campaign: c, Target: t, Severity: SeverityNone}
-	if cp == nil {
+	if from == nil {
 		m.Restore(r.snap)
-		if record {
-			m.StartRecording()
-		}
 	}
 	armed, err := am.Arm(m, t)
 	if err != nil {
-		m.StopRecording()
 		return res, nil, newFault(FaultArm, t, "%v", err)
 	}
 	var kcp *kernel.Checkpoint
@@ -478,12 +591,14 @@ func (r *Runner) armedTarget(am ArmedModel, c Campaign, t Target, cp *kernel.Che
 		armed.OnActivate = func() { kcp = m.CaptureCheckpoint() }
 	}
 	var run *kernel.RunResult
-	if cp != nil {
-		run = m.RunWorkloadsFromCheckpoint(cp, r.Workloads, nil)
-	} else {
+	switch {
+	case record:
+		run = m.RecordWorkloads(r.golden, from, r.Workloads, r.Budget, nil)
+	case from != nil:
+		run = m.RunWorkloadsFromCheckpoint(from, r.Workloads, nil)
+	default:
 		run = m.RunWorkloads(r.Workloads, r.Budget)
 	}
-	m.StopRecording()
 	if armed.Disarm != nil {
 		armed.Disarm()
 	}

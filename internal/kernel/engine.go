@@ -93,9 +93,10 @@ func (m *Machine) RunWorkloads(ws []Workload, cycleBudget uint64) *RunResult {
 	return m.runWorkloads(ws)
 }
 
-// runWorkloads is the engine body shared by RunWorkloads and
-// RunWorkloadsFromCheckpoint (which sets CycleLimit from the
-// checkpoint instead of a fresh budget).
+// runWorkloads is the engine body shared by RunWorkloads and the
+// replay runs, RunWorkloadsFromCheckpoint and RecordWorkloads (which
+// take CycleLimit from a checkpoint instead of a fresh budget when they
+// resume one).
 func (m *Machine) runWorkloads(ws []Workload) *RunResult {
 	e := &engine{m: m}
 	m.ff = nil

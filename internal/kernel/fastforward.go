@@ -29,15 +29,19 @@ import (
 //     instruction that keeps faulting at a user address that
 //     do_page_fault reports handled. The proof is an exact repeat.
 //
-// Arming. Fast-forward acts only once the cycle counter exceeds
-// GoldenCycles, so a run that finishes like the golden run never arms.
-// It acts only during live execution: never while a checkpoint prefix
-// is recorded or replayed, never with a debug register enabled, and
-// never inside an idle probe. A machine whose GoldenCycles is zero
-// never arms; it is the reference arm. The idle detection's start or
-// the first in-call reference, whichever comes first, takes the run's
-// one memory snapshot, so from then on mem's dirty set is exactly the
-// pages written since arming.
+// Arming. Idle and CPU-loop detection act only once the cycle counter
+// exceeds GoldenCycles, so a run that finishes like the golden run
+// never arms them. Fault-retry detection acts from the run's start: its
+// exact-repeat proof does not depend on the golden run's length, and a
+// run that restarts one faulting instruction with identical registers
+// twice in a row is rare unless it loops. Every mode acts only during
+// live execution: never while the golden log is recorded or a
+// checkpoint prefix is replayed or verified, never with a debug
+// register enabled, and never inside an idle probe. A machine whose
+// GoldenCycles is zero never arms; it is the reference arm. The idle
+// detection's start or the first in-call reference, whichever comes
+// first, takes the run's one memory snapshot, so from then on mem's
+// dirty set is exactly the pages written since arming.
 //
 // The reference state. A proof takes one reference at a period's start:
 // the registers, EIP, EFLAGS, fault depth, console length, PanicCode
@@ -64,7 +68,8 @@ import (
 //   - Fault-retry loops. After a handled user fault, runToReturn restarts
 //     the faulting instruction. When the registers, EIP, EFLAGS and fault
 //     depth there match the previous restart's, the reference is taken;
-//     the next matching restart confirms it.
+//     the next matching restart confirms it. This mode may arm before
+//     GoldenCycles (see Arming).
 //
 // Idle mode. Every idle tick records a fingerprint: the registers,
 // EFLAGS, the cycles spent since the previous idle tick, and the number
@@ -202,9 +207,10 @@ func (m *Machine) SkippedCycles() uint64 { return m.skipped }
 
 // ffArm returns the run's fast-forward state when the machine may
 // fast-forward now, creating it at the run's first such point; nil
-// when it may not.
-func (m *Machine) ffArm() *fastForward {
-	if m.GoldenCycles == 0 || m.CPU.Cycles <= m.GoldenCycles || m.rec != nil || m.rep != nil ||
+// when it may not. Only the fault-retry mode (retry) may arm before
+// GoldenCycles.
+func (m *Machine) ffArm(retry bool) *fastForward {
+	if m.GoldenCycles == 0 || !retry && m.CPU.Cycles <= m.GoldenCycles || m.rec != nil || m.rep != nil ||
 		m.CPU.DREnabled != [4]bool{} || m.proof != nil {
 		return nil
 	}
@@ -357,13 +363,13 @@ func (c *ffCall) budget(m *Machine) uint64 {
 }
 
 // ffDue reports whether a detection window runs now. A point at which
-// the machine may not fast-forward yet (a recorded prefix may end
+// the machine may not fast-forward yet (a verified prefix may end
 // within the call) moves one gap on.
 func (m *Machine) ffDue(c *ffCall) bool {
 	if m.CPU.Cycles < c.next {
 		return false
 	}
-	f := m.ffArm()
+	f := m.ffArm(false)
 	switch {
 	case f == nil:
 		c.next = m.CPU.Cycles + c.gap
@@ -429,7 +435,7 @@ func (w *ffWindow) after(_ *cpu.CPU, err error) bool {
 // ffRetry is the fault-retry detection point: runToReturn is about to
 // restart an instruction whose user fault was handled.
 func (m *Machine) ffRetry(c *ffCall) {
-	f := m.ffArm()
+	f := m.ffArm(true)
 	if c.done || f == nil || f.misses[ffModeRetry] >= ffMaxMisses {
 		c.seen, c.ref = false, nil
 		return
@@ -716,7 +722,7 @@ func (e *engine) ffIdle() {
 	m := e.m
 	f := m.ff
 	if f == nil || !f.idle {
-		if f = m.ffArm(); f != nil {
+		if f = m.ffArm(false); f != nil {
 			f.base(m)
 			f.idle, f.last = true, m.CPU.Cycles
 		}

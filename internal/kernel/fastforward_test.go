@@ -24,13 +24,17 @@ import (
 const ffBudget = 20_000_000
 
 // ffScenario is one crafted run: setup patches the booted machine the
-// way an injection would, before the workloads start. With record set,
-// the run starts recording a checkpoint prefix, as a target's first
-// run does, and setup arms the breakpoint that captures it.
+// way an injection would, before the workloads start. With capture set,
+// the run is a record run: it first records the scenario's golden log,
+// then verifies a run against it, as a target's record run does, and
+// capture arms the breakpoint that captures the checkpoint. With late
+// set, GoldenCycles lies past the watchdog, so only fault-retry
+// detection may arm.
 type ffScenario struct {
-	setup  func(t *testing.T, m *Machine)
-	ws     []Workload
-	record bool
+	setup   func(t *testing.T, m *Machine)
+	ws      []Workload
+	capture func(t *testing.T, m *Machine)
+	late    bool
 }
 
 // finalState is everything a run can leave behind that a result could
@@ -59,13 +63,20 @@ func (sc ffScenario) run(t *testing.T, ff bool) (finalState, uint64) {
 	}
 	if ff {
 		m.GoldenCycles = m.CPU.Cycles // arm at the first idle tick
+		if sc.late {
+			m.GoldenCycles += 2 * ffBudget
+		}
 	}
 	snap := m.TakeSnapshot()
-	if sc.record {
-		m.StartRecording()
+	var res *RunResult
+	if sc.capture != nil {
+		// The golden log only needs to reach the capture.
+		_, g := m.RecordGolden(snap, sc.ws, 1<<20)
+		m.Restore(snap)
+		res = m.RecordWorkloads(g, nil, sc.ws, ffBudget, func(m *Machine) { sc.capture(t, m) })
+	} else {
+		res = m.RunWorkloads(sc.ws, ffBudget)
 	}
-	res := m.RunWorkloads(sc.ws, ffBudget)
-	m.StopRecording()
 	st := finalState{
 		Trace: res.Trace, Console: res.Console, Cycles: m.CPU.Cycles,
 		EIP: m.CPU.EIP, Eflags: m.CPU.Eflags, Regs: m.CPU.Regs,
@@ -360,11 +371,11 @@ func TestFastForwardInCallJmpSelf(t *testing.T) {
 }
 
 // TestFastForwardInCallArmsAfterRecordedPrefix: the looping call
-// starts while a checkpoint prefix is recorded, counts down for more
+// starts while a record run verifies its prefix, counts down for more
 // than ffCallCycles, and only then passes the breakpoint that captures
-// the checkpoint and ends the recording. So the call's first detection
-// point comes while it may not fast-forward, and CPU.Run must still
-// stop at a later point, where the jmp . after the breakpoint is
+// the checkpoint and ends the verification. So the call's first
+// detection point comes while it may not fast-forward, and CPU.Run must
+// still stop at a later point, where the jmp . after the breakpoint is
 // jumped.
 func TestFastForwardInCallArmsAfterRecordedPrefix(t *testing.T) {
 	loop := binary.LittleEndian.AppendUint32([]byte{0xB9}, 4*ffCallCycles) // mov ecx, n
@@ -372,13 +383,10 @@ func TestFastForwardInCallArmsAfterRecordedPrefix(t *testing.T) {
 	bp := len(loop)
 	loop = append(loop, 0x90, 0xEB, 0xFE) // nop (the breakpoint); jmp .
 	sc := loopInGetpid(loop)
-	patch := sc.setup
-	sc.record = true
-	sc.setup = func(t *testing.T, m *Machine) {
-		patch(t, m)
+	sc.capture = func(t *testing.T, m *Machine) {
 		m.CPU.OnBreakpoint = func(c *cpu.CPU, dr int) {
 			if m.CaptureCheckpoint() == nil {
-				t.Error("no recording to capture")
+				t.Error("no record run to capture")
 			}
 			c.ClearBreakpoint(dr)
 		}
@@ -419,6 +427,21 @@ func TestFastForwardInCallCounter(t *testing.T) {
 // handled without mapping anything, so the read faults again forever:
 // a fault-retry loop, which is jumped.
 func TestFastForwardInCallFaultRetry(t *testing.T) {
+	checkInCallHang(t, faultRetryInGetpid(), true)
+}
+
+// TestFastForwardFaultRetryBeforeGolden: the fault-retry loop starts
+// long before GoldenCycles, which here lies past the watchdog, so idle
+// and CPU-loop detection never arm. Fault-retry detection does not wait
+// for GoldenCycles: the loop is jumped.
+func TestFastForwardFaultRetryBeforeGolden(t *testing.T) {
+	sc := faultRetryInGetpid()
+	sc.late = true
+	checkInCallHang(t, sc, true)
+}
+
+// faultRetryInGetpid is TestFastForwardInCallFaultRetry's scenario.
+func faultRetryInGetpid() ffScenario {
 	const page = 0x40 // inside the arena's first VMA
 	var stub []byte
 	stub = append(stub, 0x8B, 0x1D) // mov ebx, [current]
@@ -429,13 +452,13 @@ func TestFastForwardInCallFaultRetry(t *testing.T) {
 	stub = append(stub, 0x8B, 0x43, TaskArena) // mov eax, [ebx+TaskArena]
 	stub = append(stub, 0x8B, 0x80)            // mov eax, [eax+page*PageSize]
 	stub = binary.LittleEndian.AppendUint32(stub, page*PageSize)
-	checkInCallHang(t, ffScenario{
+	return ffScenario{
 		setup: func(t *testing.T, m *Machine) {
 			binary.LittleEndian.PutUint32(stub[2:], m.Symbol("current"))
 			hookFunc(t, m, "sys_getpid", stub, nil)
 		},
 		ws: []Workload{pider},
-	}, true)
+	}
 }
 
 // TestFastForwardInCallCountdown: a register countdown that would end

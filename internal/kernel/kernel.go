@@ -73,16 +73,18 @@ type Machine struct {
 	// analog of debugfs fail_function. Returning handled=true
 	// short-circuits the call and ret (typically -errno) becomes the
 	// syscall's result; handled=false observes without interfering.
-	// During a recording run the hook may call CaptureCheckpoint before
-	// it forces a return; replays of that checkpoint resume at this
+	// During a record run the hook may call CaptureCheckpoint before it
+	// forces a return; replays of that checkpoint resume at this
 	// boundary. Restore clears it: a hook is armed per run, never
 	// inherited by the next one.
 	SyscallHook func(nr int, args [4]uint32) (ret int32, handled bool)
 
 	// GoldenCycles is the cycle counter at which the fault-free run
-	// ends. When nonzero, a run that is still idling past it arms hang
-	// fast-forward (fastforward.go). Zero, the default, never arms, so
-	// every cycle is simulated; results are identical either way.
+	// ends. When nonzero, hang fast-forward (fastforward.go) may arm:
+	// its idle and CPU-loop detection in a run still going past it, its
+	// fault-retry detection from a run's start. Zero, the default, never
+	// arms, so every cycle is simulated; results are identical either
+	// way.
 	GoldenCycles uint64
 
 	// ff is the run's hang fast-forward state (fastforward.go), nil
@@ -103,9 +105,10 @@ type Machine struct {
 	// exact unwind the live path would perform.
 	faultStack []faultFrame
 
-	// rec/rep drive checkpoint record and replay runs (see replay.go).
-	// Both nil during ordinary execution.
-	rec *recording
+	// rec is the golden log while the golden run records it; rep drives
+	// checkpoint replay and record runs (see replay.go). Both nil during
+	// ordinary execution.
+	rec *GoldenLog
 	rep *replay
 
 	// currentAddr/tasksAddr memoize the symbol lookups behind
@@ -401,23 +404,25 @@ func (m *Machine) Call(fn string, args ...uint32) (uint32, error) {
 
 // CallAddr is Call by address. At top level the kernel stack is reset;
 // nested calls (fault handling) run on the live stack like exception
-// frames. Top-level calls are an engine-visible machine operation:
-// during a recording run the result is logged, and during a replay
-// prefix it is served from the log (or, at the log's end, resumed live
-// from the checkpoint) — see replay.go.
+// frames. Top-level calls are an engine-visible machine operation: the
+// golden run logs the result, a record run verifies it, and a replay
+// prefix serves it from the golden log (or, at the checkpoint's
+// position, resumes live from the checkpoint) — see replay.go.
 func (m *Machine) CallAddr(addr uint32, args ...uint32) (uint32, error) {
 	if m.faultDepth == 0 {
-		if m.rep != nil {
+		if m.serving() {
 			return m.replayCall(addr, args)
 		}
-		if m.rec != nil {
+		if m.rec != nil || m.rep != nil {
 			at := resumePoint{id: addr, args: hashArgs(args)}
-			m.rec.at = at
+			if m.rep != nil {
+				m.rep.at = at
+			}
 			ret, err := m.callAddr(addr, args)
-			// A checkpoint captured mid-call clears m.rec: the in-flight
-			// call then belongs to the live suffix, not the prefix log.
-			if m.rec != nil && err == nil {
-				m.rec.log.add(op{kind: opCall, addr: addr, arg: at.args, val: ret}, nil, nil)
+			// A checkpoint captured mid-call ends the verification: the
+			// in-flight call then belongs to the live suffix.
+			if err == nil {
+				m.logged(op{kind: opCall, addr: addr, arg: at.args, val: ret}, nil, nil)
 			}
 			return ret, err
 		}
@@ -548,11 +553,13 @@ func (m *Machine) Syscall(nr int, args ...uint32) (int32, error) {
 	if m.proof != nil {
 		m.proof.bad = true
 	}
-	if m.rep != nil && m.rep.atSyscallBoundary() {
-		return m.replaySyscall(nr, a)
-	}
-	if m.rec != nil {
-		m.rec.at = syscallPoint(nr, a)
+	if m.rep != nil {
+		if m.rep.atSyscallBoundary() {
+			return m.replaySyscall(nr, a)
+		}
+		if m.rep.live {
+			m.rep.at = syscallPoint(nr, a)
+		}
 	}
 	if m.SyscallHook != nil {
 		if ret, handled := m.SyscallHook(nr, a); handled {

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -14,38 +15,56 @@ import (
 // pending fault frames) is not enough to restart an injection run from
 // its activation point: the workload "scheduler" is host-side Go state —
 // the engine's goroutines, token-passing channels and trace — which
-// cannot be snapshotted. Instead, the first run of a target *records*
+// cannot be snapshotted. Instead, the golden (fault-free) run records
 // the result of every machine operation the engine performs (kernel
-// calls, raw reads/writes, cycle charges) from run start to the
-// activation point. A replay run re-executes the engine and workload
-// goroutines natively but satisfies their machine operations from the
-// recorded log — microseconds of host work instead of milliseconds of
-// simulation — and at the log's end restores the machine checkpoint,
+// calls, raw reads/writes, cycle charges) once, in the golden log
+// (RecordGolden). Until its activation event an injection run is the
+// golden run, so its operations are a prefix of that log, and a
+// checkpoint is a position in it plus the machine state there. A replay
+// run re-executes the engine and workload goroutines natively but
+// satisfies their machine operations from the golden log up to the
+// checkpoint's position — microseconds of host work instead of
+// milliseconds of simulation — then restores the machine checkpoint,
 // applies this run's fault, and continues live execution to the
 // outcome.
 //
+// A record run captures a checkpoint. It starts from the pristine
+// snapshot the golden log starts from, or resumes an earlier checkpoint
+// (a rung) without that checkpoint's fault, and runs live to its own
+// activation event. It does not record: it verifies every live
+// operation (kind, request and result) against the golden log at its
+// position and advances the position, so CaptureCheckpoint takes the
+// position it reached. A mismatch means the run left its golden path:
+// the capture fails and the run reports ErrReplayDiverged.
+//
 // A checkpoint resumes at one of two points. One captured from the
 // breakpoint hook resumes inside the top-level kernel call the
-// breakpoint interrupted: the log ends just before that call, and the
-// replay finishes it live. One captured from a SyscallHook resumes at
+// breakpoint interrupted: its position is that call's, and the replay
+// finishes the call live. One captured from a SyscallHook resumes at
 // that system call's boundary, before the call is dispatched: nothing
-// is in flight, the log ends just before the call, and the replay
-// consults the hook again on the restored machine, which must handle
-// the call (the hook's count of earlier calls reached the same value
-// during the replayed prefix, because Syscall consults it before
-// CallAddr).
+// is in flight, its position is the call's, and the replay consults the
+// hook again on the restored machine, which must handle the call (the
+// hook's count of earlier calls reached the same value during the
+// replayed prefix, because Syscall consults it before CallAddr). A
+// record run resuming a rung at a boundary consults its own hook there,
+// which must decline, and dispatches the call live.
+//
+// Checkpoint memory is a delta over the pristine snapshot: a capture
+// stores only the pages changed since it (mem.TakeDeltaSnapshot), so a
+// capture costs O(changed pages) and a record run resumed from a rung
+// does not lengthen the snapshot chain.
 //
 // The engine is deterministic given identical operation results, so a
 // replayed run is byte-identical to a full run. If that invariant is
-// ever violated (an operation arrives that the log does not contain),
-// the replay reports ErrReplayDiverged rather than guessing: the
-// harness treats it as a fault of the harness, discards the
-// checkpoint, and re-records on a fresh runner.
+// ever violated (an operation arrives that the log does not hold at the
+// position), the run reports ErrReplayDiverged rather than guessing:
+// the harness treats it as a fault of the harness, discards its
+// checkpoints, and re-records on a fresh runner.
 
-// ErrReplayDiverged reports that a checkpointed replay issued a machine
-// operation the recorded prefix does not contain. It marks a harness
-// fault, never a study outcome.
-var ErrReplayDiverged = errors.New("kernel: checkpoint replay diverged from recording")
+// ErrReplayDiverged reports that a checkpointed replay or a record run
+// issued a machine operation the golden log does not hold at its
+// position. It marks a harness fault, never a study outcome.
+var ErrReplayDiverged = errors.New("kernel: checkpoint replay diverged from the golden log")
 
 type opKind uint8
 
@@ -89,8 +108,8 @@ func (k opKind) String() string {
 }
 
 // op is one recorded engine-visible machine operation: enough of the
-// request to verify the replay stays on script, plus the result. It is
-// 20 bytes; the results that do not fit inline (a ReadBytes buffer, an
+// request to verify a run stays on script, plus the result. It is 20
+// bytes; the results that do not fit inline (a ReadBytes buffer, an
 // error) live in the log's side table.
 type op struct {
 	kind opKind
@@ -107,14 +126,18 @@ type opSide struct {
 	err error  // error result
 }
 
-// opLog is a recorded prefix: its ops in order, and the side table
-// holding their ReadBytes buffers and errors.
-type opLog struct {
-	ops  []op
-	side []opSide
+// GoldenLog is the golden run's op log: its ops in order, the side
+// table holding their ReadBytes buffers and errors, and the pristine
+// memory snapshot the run started from, which every checkpoint is a
+// delta over. A runner records one and shares it, read-only, with every
+// checkpoint.
+type GoldenLog struct {
+	ops   []op
+	side  []opSide
+	start *mem.Snapshot
 }
 
-func (l *opLog) add(o op, buf []byte, err error) {
+func (l *GoldenLog) add(o op, buf []byte, err error) {
 	if buf != nil || err != nil {
 		l.side = append(l.side, opSide{buf: buf, err: err})
 		o.side = uint32(len(l.side))
@@ -123,7 +146,7 @@ func (l *opLog) add(o op, buf []byte, err error) {
 }
 
 // result returns o's out-of-line buffer and error.
-func (l *opLog) result(o *op) ([]byte, error) {
+func (l *GoldenLog) result(o *op) ([]byte, error) {
 	if o.side == 0 {
 		return nil, nil
 	}
@@ -152,24 +175,27 @@ func (p resumePoint) String() string {
 	return fmt.Sprintf("call %#x (args %#x)", p.id, p.args)
 }
 
-// recording accumulates the op log during a target's first run.
-type recording struct {
-	log opLog
-	// at is the resume point of a checkpoint captured now: the
-	// top-level call currently executing, or the system call whose
-	// SyscallHook is being consulted.
-	at resumePoint
-}
-
-// replay drives a run from a recorded prefix. Once err is set the
-// replay is dead: every wrapper short-circuits and the engine winds
-// down via its abort path; the caller maps err onto the run result.
+// replay drives a run along the golden log. While it serves (live is
+// false) it answers ops [0, from.pos) from the log; at from's resume
+// point it restores from and runs live. A sibling replay then leaves the
+// log; a record run verifies every live op against the log (live is
+// true) until CaptureCheckpoint. Once err is set the replay is dead:
+// every wrapper short-circuits and the engine winds down via its abort
+// path; the caller maps err onto the run result.
 type replay struct {
-	cp        *Checkpoint
-	i         int
-	err       error
-	switched  bool
-	applyFlip func(*Machine)
+	log  *GoldenLog
+	pos  int         // the next op's golden-log position
+	from *Checkpoint // where serving ends; nil for a record run from the pristine state
+	live bool        // serving is over: a record run verifying
+	// record marks a record run: it verifies from from's resume point
+	// on, and at a system call boundary its hook must decline.
+	record bool
+	// at is the resume point of a checkpoint captured now: the
+	// top-level call executing, or the system call whose SyscallHook is
+	// being consulted.
+	at       resumePoint
+	err      error
+	onResume func(*Machine)
 }
 
 func (r *replay) failf(format string, args ...interface{}) {
@@ -178,32 +204,56 @@ func (r *replay) failf(format string, args ...interface{}) {
 	}
 }
 
-// next consumes the next recorded op, verifying the request matches.
-// It returns nil (and poisons the replay) on any mismatch, including
-// running past the end of the log.
+// next serves the next logged op, verifying the request matches. It
+// returns nil (and poisons the replay) on any mismatch, including
+// running past the checkpoint's position.
 func (r *replay) next(kind opKind, addr, arg uint32) *op {
 	if r.err != nil {
 		return nil
 	}
-	if r.i >= len(r.cp.log.ops) {
-		r.failf("op %d: %v(%#x) past end of recording (checkpoint resumes at %v)",
-			r.i, kind, addr, r.cp.at)
+	if r.pos >= r.from.pos {
+		r.failf("op %d: %v(%#x) past the checkpoint's position (it resumes at %v)",
+			r.pos, kind, addr, r.from.at)
 		return nil
 	}
-	o := &r.cp.log.ops[r.i]
+	o := &r.log.ops[r.pos]
 	if o.kind != kind || o.addr != addr || o.arg != arg {
-		r.failf("op %d: got %v(%#x, %#x), recorded %v(%#x, %#x)",
-			r.i, kind, addr, arg, o.kind, o.addr, o.arg)
+		r.failf("op %d: got %v(%#x, %#x), golden %v(%#x, %#x)",
+			r.pos, kind, addr, arg, o.kind, o.addr, o.arg)
 		return nil
 	}
-	r.i++
+	r.pos++
 	return o
 }
 
-// atSyscallBoundary reports that the log is used up and the checkpoint
+// atSyscallBoundary reports that serving is done and the checkpoint
 // resumes at a system call boundary: the next Syscall must be that call.
 func (r *replay) atSyscallBoundary() bool {
-	return r.i == len(r.cp.log.ops) && r.cp.at.syscall
+	return !r.live && r.pos == r.from.pos && r.from.at.syscall
+}
+
+// check verifies a record run's live op o, with its out-of-line result,
+// against the golden log at the run's position. On a mismatch the run
+// has left its golden path: it goes on live and captures nothing.
+func (m *Machine) check(o op, buf []byte, err error) {
+	r := m.rep
+	var (
+		g    op
+		gbuf []byte
+		gerr error
+	)
+	if r.pos < len(r.log.ops) {
+		g = r.log.ops[r.pos]
+		gbuf, gerr = r.log.result(&g)
+		g.side = 0
+	}
+	if g != o || !bytes.Equal(buf, gbuf) || (err == nil) != (gerr == nil) || err != nil && err.Error() != gerr.Error() {
+		r.failf("op %d: live %v(%#x, %#x) = %#x, golden %v(%#x, %#x) = %#x",
+			r.pos, o.kind, o.addr, o.arg, o.val, g.kind, g.addr, g.arg, g.val)
+		m.rep = nil
+		return
+	}
+	r.pos++
 }
 
 func hashArgs(args []uint32) uint32 {
@@ -214,17 +264,19 @@ func hashArgs(args []uint32) uint32 {
 	return (h ^ uint32(len(args))) * 16777619
 }
 
-// Checkpoint is the full machine state at an activation point plus the
-// recorded operation log leading up to it. One checkpoint serves every
-// target sharing the activation event: a PC's breakpoint, or the Nth
-// call of a system call.
+// Checkpoint is the full machine state at an activation point and its
+// position in the golden log. One checkpoint serves every target
+// sharing the activation event (a PC's breakpoint, or the Nth call of a
+// system call), and as a rung it serves a record run of any later
+// event.
 type Checkpoint struct {
-	mem        *mem.Snapshot
+	log        *GoldenLog
+	pos        int
+	mem        *mem.Snapshot // a delta over log.start
 	cpu        cpu.State
 	cycleLimit uint64
 	console    []byte
 	frames     []faultFrame
-	log        opLog
 	at         resumePoint
 }
 
@@ -232,53 +284,84 @@ type Checkpoint struct {
 // activation cycle of every run resumed from this checkpoint).
 func (cp *Checkpoint) Cycles() uint64 { return cp.cpu.Cycles }
 
-// StartRecording begins logging engine-visible machine operations for
-// a subsequent CaptureCheckpoint. It must bracket a whole run.
-func (m *Machine) StartRecording() { m.rec = &recording{} }
-
-// StopRecording discards any recording still active (the run finished
-// without reaching its activation point, or the caller abandons the
-// attempt).
-func (m *Machine) StopRecording() { m.rec = nil }
+// RecordGolden runs the workloads like RunWorkloads and records the
+// golden log of the run. start must be the snapshot of the machine's
+// current state, which every record run restores before it starts.
+func (m *Machine) RecordGolden(start *Snapshot, ws []Workload, cycleBudget uint64) (*RunResult, *GoldenLog) {
+	g := &GoldenLog{start: start.mem}
+	m.rec = g
+	res := m.RunWorkloads(ws, cycleBudget)
+	m.rec = nil
+	return res, g
+}
 
 // CaptureCheckpoint snapshots the machine mid-run. It must be called
-// while a recording run is executing, before the fault takes effect:
-// from the breakpoint hook, where the checkpoint resumes inside the
-// in-flight top-level call, or from a SyscallHook, where it resumes at
-// that system call's boundary. It ends the recording: the op log covers
-// exactly the prefix up to this point.
+// while a record run is verifying, before the fault takes effect: from
+// the breakpoint hook, where the checkpoint resumes inside the in-flight
+// top-level call, or from a SyscallHook, where it resumes at that
+// system call's boundary. It ends the verification: the checkpoint's
+// position is the op the run reached. It returns nil when no record run
+// is verifying (it never started, or it left its golden path).
 func (m *Machine) CaptureCheckpoint() *Checkpoint {
-	rec := m.rec
-	if rec == nil {
+	r := m.rep
+	if r == nil || !r.live {
+		if r != nil {
+			r.failf("capture at op %d, before the rung's resume point", r.pos)
+		}
 		return nil
 	}
-	m.rec = nil
+	m.rep = nil
 	return &Checkpoint{
-		mem:        m.Mem.TakeSnapshot(),
+		log:        r.log,
+		pos:        r.pos,
+		mem:        m.Mem.TakeDeltaSnapshot(r.log.start),
 		cpu:        m.CPU.CaptureState(),
 		cycleLimit: m.CycleLimit,
 		console:    append([]byte(nil), m.Console.Bytes()...),
 		frames:     append([]faultFrame(nil), m.faultStack...),
-		log:        rec.log,
-		at:         rec.at,
+		at:         r.at,
 	}
 }
 
 // RunWorkloadsFromCheckpoint runs the workloads exactly like
-// RunWorkloads, but satisfies the prefix up to cp's activation point
-// from the recorded log, then restores the checkpoint, calls applyFlip
-// (the fault injection; it may be nil) and continues live to the
-// outcome. At a system call boundary the restored machine consults
-// SyscallHook, which must handle the call. If the replay diverges from
-// the recording, the result's Err is the divergence error (wrapping
-// ErrReplayDiverged) — never a counterfeit outcome.
+// RunWorkloads, but satisfies the prefix up to cp's position from the
+// golden log, then restores the checkpoint, calls applyFlip (the fault
+// injection; it may be nil) and continues live to the outcome. At a
+// system call boundary the restored machine consults SyscallHook, which
+// must handle the call. If the replay diverges from the log, the
+// result's Err is the divergence error (wrapping ErrReplayDiverged) —
+// never a counterfeit outcome.
 func (m *Machine) RunWorkloadsFromCheckpoint(cp *Checkpoint, ws []Workload, applyFlip func(*Machine)) *RunResult {
-	r := &replay{cp: cp, applyFlip: applyFlip}
+	return m.runReplay(&replay{log: cp.log, from: cp, onResume: applyFlip}, ws)
+}
+
+// RecordWorkloads runs the workloads as a record run, which
+// CaptureCheckpoint ends. Without a rung it runs from the current
+// machine state, which must be the golden log's start, with a fresh
+// cycleBudget; it calls arm first. With a rung, a checkpoint of g, it
+// serves the prefix up to the rung's position from the golden log,
+// restores the rung without a fault, calls arm (RestoreState disarms
+// the debug registers) and continues live. Every live op until the
+// capture must match the golden log; otherwise the result's Err wraps
+// ErrReplayDiverged.
+func (m *Machine) RecordWorkloads(g *GoldenLog, rung *Checkpoint, ws []Workload, cycleBudget uint64, arm func(*Machine)) *RunResult {
+	r := &replay{log: g, from: rung, record: true, onResume: arm}
+	if rung == nil {
+		m.CycleLimit = m.CPU.Cycles + cycleBudget
+		r.live = true
+		if arm != nil {
+			arm(m)
+		}
+	}
+	return m.runReplay(r, ws)
+}
+
+func (m *Machine) runReplay(r *replay, ws []Workload) *RunResult {
 	m.rep = r
 	res := m.runWorkloads(ws)
 	m.rep = nil
-	if r.err == nil && !r.switched {
-		r.failf("run finished after %d of %d recorded ops without reaching the checkpoint", r.i, len(cp.log.ops))
+	if r.err == nil && !r.live {
+		r.failf("run finished after %d of %d golden ops without reaching the checkpoint", r.pos, r.from.pos)
 	}
 	if r.err != nil {
 		res.Err = r.err
@@ -286,62 +369,84 @@ func (m *Machine) RunWorkloadsFromCheckpoint(cp *Checkpoint, ws []Workload, appl
 	return res
 }
 
-// replayCall satisfies a top-level kernel call during replay: consumed
-// from the log while the prefix lasts, switched to live execution at
-// the in-flight call the checkpoint interrupted.
+// replayCall satisfies a top-level kernel call while serving: answered
+// from the log before the checkpoint's position, switched to live
+// execution at the in-flight call the checkpoint interrupted.
 func (m *Machine) replayCall(addr uint32, args []uint32) (uint32, error) {
 	r := m.rep
 	if r.err != nil {
 		return 0, r.err
 	}
 	h := hashArgs(args)
-	if r.i < len(r.cp.log.ops) {
-		o := &r.cp.log.ops[r.i]
+	if r.pos < r.from.pos {
+		o := &r.log.ops[r.pos]
 		if o.kind != opCall || o.addr != addr || o.arg != h {
-			r.failf("op %d: got Call(%#x, args %#x), recorded %v(%#x, %#x)",
-				r.i, addr, h, o.kind, o.addr, o.arg)
+			r.failf("op %d: got Call(%#x, args %#x), golden %v(%#x, %#x)",
+				r.pos, addr, h, o.kind, o.addr, o.arg)
 			return 0, r.err
 		}
-		r.i++
+		r.pos++
 		return o.val, nil
 	}
-	if at := (resumePoint{id: addr, args: h}); at != r.cp.at {
-		r.failf("%v at the end of the log, checkpoint resumes at %v", at, r.cp.at)
+	if at := (resumePoint{id: addr, args: h}); at != r.from.at {
+		r.failf("%v at the checkpoint's position, it resumes at %v", at, r.from.at)
 		return 0, r.err
 	}
-	return m.resumeCheckpoint(r)
+	ret, err := m.resumeCheckpoint(r)
+	if m.rep != nil && err == nil {
+		// A record run that has not captured yet verifies the call it
+		// resumed.
+		m.check(op{kind: opCall, addr: addr, arg: h, val: ret}, nil, nil)
+	}
+	return ret, err
 }
 
 // replaySyscall switches a replay to live execution at the system call
 // boundary its checkpoint was captured at. The call must be the
-// captured one, and the SyscallHook, consulted on the restored machine,
-// must handle it.
+// captured one. The SyscallHook, consulted on the restored machine,
+// must handle it for a sibling replay, and must decline it for a record
+// run, which then dispatches the call live.
 func (m *Machine) replaySyscall(nr int, a [4]uint32) (int32, error) {
 	r := m.rep
 	if r.err != nil {
 		return 0, r.err
 	}
-	if at := syscallPoint(nr, a); at != r.cp.at {
-		r.failf("%v at the end of the log, checkpoint resumes at %v", at, r.cp.at)
+	if at := syscallPoint(nr, a); at != r.from.at {
+		r.failf("%v at the checkpoint's position, it resumes at %v", at, r.from.at)
 		return 0, r.err
 	}
 	m.restoreCheckpoint(r)
 	if m.SyscallHook != nil {
 		if ret, handled := m.SyscallHook(nr, a); handled {
+			if r.record {
+				r.failf("the SyscallHook handled %v, where the rung was captured", r.from.at)
+				return 0, r.err
+			}
 			return ret, nil
 		}
 	}
-	r.failf("the SyscallHook did not handle %v, where the checkpoint was captured", r.cp.at)
-	return 0, r.err
+	if !r.record {
+		r.failf("the SyscallHook did not handle %v, where the checkpoint was captured", r.from.at)
+		return 0, r.err
+	}
+	ret, err := m.CallAddr(m.syscallFn, uint32(nr), a[0], a[1], a[2], a[3])
+	if err != nil {
+		return 0, err
+	}
+	return int32(ret), nil
 }
 
-// restoreCheckpoint ends a replay's prefix: it restores the captured
-// machine state and injects the fault, so execution continues live
-// from the checkpoint's resume point.
+// restoreCheckpoint ends a replay's served prefix: it restores the
+// captured machine state and calls onResume (a sibling's fault, a record
+// run's arming), so execution continues live from the checkpoint's
+// resume point. A record run goes on verifying from the checkpoint's
+// position.
 func (m *Machine) restoreCheckpoint(r *replay) {
-	cp := r.cp
-	r.switched = true
-	m.rep = nil // live execution from here on
+	cp := r.from
+	r.live, r.at = true, cp.at
+	if !r.record {
+		m.rep = nil // live execution from here on
+	}
 	m.Mem.Restore(cp.mem)
 	m.CPU.RestoreState(cp.cpu)
 	m.CycleLimit = cp.cycleLimit
@@ -350,8 +455,8 @@ func (m *Machine) restoreCheckpoint(r *replay) {
 	m.Console.Write(cp.console)
 	m.faultStack = append(m.faultStack[:0], cp.frames...)
 	m.faultDepth = len(cp.frames)
-	if r.applyFlip != nil {
-		r.applyFlip(m)
+	if r.onResume != nil {
+		r.onResume(m)
 	}
 }
 
@@ -359,7 +464,7 @@ func (m *Machine) restoreCheckpoint(r *replay) {
 // fault, and finishes the interrupted call live — including unwinding
 // any nested fault-handler frames exactly as the live path would.
 func (m *Machine) resumeCheckpoint(r *replay) (uint32, error) {
-	cp := r.cp
+	cp := r.from
 	m.restoreCheckpoint(r)
 
 	ret, err := m.runToReturn()
@@ -389,78 +494,85 @@ func (m *Machine) resumeCheckpoint(r *replay) (uint32, error) {
 // --- Engine-visible machine operations ---
 //
 // Every machine access the workload engine makes goes through one of
-// these wrappers, which record results during a recording run and
-// serve them back during the replay prefix. With neither active they
-// are plain pass-throughs.
+// these wrappers, which serve results from the golden log while a
+// replay serves its prefix, and otherwise run live and pass the op to
+// logged. With neither a recording nor a replay active they are plain
+// pass-throughs.
+
+// serving reports that the run's ops come from the golden log.
+func (m *Machine) serving() bool { return m.rep != nil && !m.rep.live }
+
+// logged passes a live op to the golden recording or to a record run's
+// verification, whichever is active.
+func (m *Machine) logged(o op, buf []byte, err error) {
+	switch {
+	case m.rec != nil:
+		m.rec.add(o, bytes.Clone(buf), err)
+	case m.rep != nil:
+		m.check(o, buf, err)
+	}
+}
 
 func (m *Machine) memRead32(addr uint32) (uint32, error) {
-	if m.rep != nil {
+	if m.serving() {
 		o := m.rep.next(opRead32, addr, 0)
 		if o == nil {
 			return 0, m.rep.err
 		}
-		_, err := m.rep.cp.log.result(o)
+		_, err := m.rep.log.result(o)
 		return o.val, err
 	}
 	v, err := m.Mem.Read32(addr)
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opRead32, addr: addr, val: v}, nil, err)
-	}
+	m.logged(op{kind: opRead32, addr: addr, val: v}, nil, err)
 	return v, err
 }
 
 func (m *Machine) memWrite32(addr, v uint32) error {
-	if m.rep != nil {
+	if m.serving() {
 		o := m.rep.next(opWrite32, addr, v)
 		if o == nil {
 			return m.rep.err
 		}
-		_, err := m.rep.cp.log.result(o)
+		_, err := m.rep.log.result(o)
 		return err
 	}
 	err := m.Mem.Write32(addr, v)
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opWrite32, addr: addr, arg: v}, nil, err)
-	}
+	m.logged(op{kind: opWrite32, addr: addr, arg: v}, nil, err)
 	return err
 }
 
 func (m *Machine) memReadBytes(addr, n uint32) ([]byte, error) {
-	if m.rep != nil {
+	if m.serving() {
 		o := m.rep.next(opReadBytes, addr, n)
 		if o == nil {
 			return nil, m.rep.err
 		}
 		// Copy: callers may mutate the returned slice, and the log is
-		// shared by every replay of this checkpoint.
-		buf, err := m.rep.cp.log.result(o)
+		// shared by every replay.
+		buf, err := m.rep.log.result(o)
 		return append([]byte(nil), buf...), err
 	}
 	b, err := m.Mem.ReadBytes(addr, n)
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opReadBytes, addr: addr, arg: n}, append([]byte(nil), b...), err)
-	}
+	m.logged(op{kind: opReadBytes, addr: addr, arg: n}, b, err)
 	return b, err
 }
 
 func (m *Machine) memWriteBytes(addr uint32, b []byte) error {
-	if m.rep != nil {
+	if m.serving() {
 		o := m.rep.next(opWriteBytes, addr, uint32(len(b)))
 		if o == nil {
 			return m.rep.err
 		}
-		_, err := m.rep.cp.log.result(o)
+		_, err := m.rep.log.result(o)
 		return err
 	}
 	err := m.Mem.WriteBytes(addr, b)
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opWriteBytes, addr: addr, arg: uint32(len(b))}, nil, err)
-	}
+	m.logged(op{kind: opWriteBytes, addr: addr, arg: uint32(len(b))}, nil, err)
 	return err
 }
 
 func (m *Machine) memPermAt(addr uint32) mem.Perm {
-	if m.rep != nil {
+	if m.serving() {
 		o := m.rep.next(opPermAt, addr, 0)
 		if o == nil {
 			return 0
@@ -468,14 +580,12 @@ func (m *Machine) memPermAt(addr uint32) mem.Perm {
 		return mem.Perm(o.val)
 	}
 	p := m.Mem.PermAt(addr)
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opPermAt, addr: addr, val: uint32(p)}, nil, nil)
-	}
+	m.logged(op{kind: opPermAt, addr: addr, val: uint32(p)}, nil, nil)
 	return p
 }
 
 func (m *Machine) memIsMapped(addr uint32) bool {
-	if m.rep != nil {
+	if m.serving() {
 		o := m.rep.next(opIsMapped, addr, 0)
 		if o == nil {
 			return false
@@ -483,36 +593,30 @@ func (m *Machine) memIsMapped(addr uint32) bool {
 		return o.flag
 	}
 	ok := m.Mem.IsMapped(addr)
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opIsMapped, addr: addr, flag: ok}, nil, nil)
-	}
+	m.logged(op{kind: opIsMapped, addr: addr, flag: ok}, nil, nil)
 	return ok
 }
 
 func (m *Machine) memProtect(addr, size uint32, perm mem.Perm) {
-	if m.rep != nil {
+	if m.serving() {
 		m.rep.next(opProtect, addr, size|uint32(perm)<<24)
 		return
 	}
 	m.Mem.Protect(addr, size, perm)
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opProtect, addr: addr, arg: size | uint32(perm)<<24}, nil, nil)
-	}
+	m.logged(op{kind: opProtect, addr: addr, arg: size | uint32(perm)<<24}, nil, nil)
 }
 
 func (m *Machine) addCycles(n uint64) {
-	if m.rep != nil {
+	if m.serving() {
 		m.rep.next(opAddCycles, uint32(n), 0)
 		return
 	}
 	m.CPU.Cycles += n
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opAddCycles, addr: uint32(n)}, nil, nil)
-	}
+	m.logged(op{kind: opAddCycles, addr: uint32(n)}, nil, nil)
 }
 
 func (m *Machine) interruptsEnabled() bool {
-	if m.rep != nil {
+	if m.serving() {
 		o := m.rep.next(opIntEnabled, 0, 0)
 		if o == nil {
 			return false
@@ -520,8 +624,6 @@ func (m *Machine) interruptsEnabled() bool {
 		return o.flag
 	}
 	on := m.CPU.Eflags&interruptFlag != 0
-	if m.rec != nil {
-		m.rec.log.add(op{kind: opIntEnabled, flag: on}, nil, nil)
-	}
+	m.logged(op{kind: opIntEnabled, flag: on}, nil, nil)
 	return on
 }

@@ -9,8 +9,9 @@ import (
 
 // Differential oracle for the dirty-set / copy-on-write restore paths:
 // random sequences of Map/Unmap/Protect/writes interleaved with
-// TakeSnapshot and Restore (of arbitrary, including stale, snapshots)
-// are mirrored against a naive reference implementation that deep-copies
+// TakeSnapshot, TakeDeltaSnapshot over an earlier snapshot, reads of a
+// snapshot through ReadRaw/RawPage/PermAt, and Restore (of arbitrary,
+// including stale, snapshots) are mirrored against a naive reference implementation that deep-copies
 // the whole address space on every snapshot and rebuilds it structurally
 // on every restore. Any divergence in page existence, permissions,
 // content, or visible read/write results is a bug in the fast paths.
@@ -210,10 +211,25 @@ func fuzzStep(t *testing.T, rng *rand.Rand, m *Memory, r *refMem,
 			t.Fatalf("step %d: Read8(%#x): fast=%#x ref=%#x", step, addr, v1, v2)
 		}
 		return fmt.Sprintf("Read8(%#x)", addr)
-	case op < 86: // TakeSnapshot
+	case op < 80: // TakeSnapshot
 		*snaps = append(*snaps, m.TakeSnapshot())
 		*refSnaps = append(*refSnaps, r.snapshot())
 		return "TakeSnapshot"
+	case op < 86: // TakeDeltaSnapshot over a random earlier snapshot
+		if len(*snaps) == 0 {
+			return "TakeDeltaSnapshot(skipped: none)"
+		}
+		i := rng.Intn(len(*snaps))
+		*snaps = append(*snaps, m.TakeDeltaSnapshot((*snaps)[i]))
+		*refSnaps = append(*refSnaps, r.snapshot())
+		return fmt.Sprintf("TakeDeltaSnapshot(over snapshot %d of %d)", i, len(*snaps)-1)
+	case op < 90: // read a random snapshot without restoring it
+		if len(*snaps) == 0 {
+			return "ReadSnapshot(skipped: none)"
+		}
+		i := rng.Intn(len(*snaps))
+		compareSnapshot(t, step, (*snaps)[i], (*refSnaps)[i], addr)
+		return fmt.Sprintf("ReadSnapshot(%d of %d, %#x)", i, len(*snaps), addr)
 	default: // Restore a random (often stale) snapshot
 		if len(*snaps) == 0 {
 			return "Restore(skipped: none)"
@@ -223,6 +239,36 @@ func fuzzStep(t *testing.T, rng *rand.Rand, m *Memory, r *refMem,
 		r.restore((*refSnaps)[i])
 		compareState(t, step, m, r)
 		return fmt.Sprintf("Restore(snapshot %d of %d)", i, len(*snaps))
+	}
+}
+
+// compareSnapshot asserts that reading snapshot s through RawPage and
+// PermAt agrees with the reference copy on every page of the fuzz
+// window, mapped or not, and through ReadRaw at addr.
+func compareSnapshot(t *testing.T, step int, s *Snapshot, ref refSnap, addr uint32) {
+	t.Helper()
+	for pn := uint32(0x10); pn < 0x10+8+2; pn++ {
+		rp, mapped := ref[pn]
+		if got := s.RawPage(pn); !bytes.Equal(got, rp.data) || (got == nil) == mapped {
+			t.Fatalf("step %d: snapshot page %#x: RawPage differs (mapped in ref: %v)", step, pn, mapped)
+		}
+		if got := s.PermAt(pn << pageShift); got != rp.perm {
+			t.Fatalf("step %d: snapshot page %#x: PermAt %v, ref %v", step, pn, got, rp.perm)
+		}
+	}
+	const n = 64
+	got, err := s.ReadRaw(addr, n)
+	want := make([]byte, 0, n)
+	for i := uint32(0); i < n; i++ {
+		p, ok := ref[(addr+i)>>pageShift]
+		if !ok {
+			want = nil
+			break
+		}
+		want = append(want, p.data[(addr+i)&(PageSize-1)])
+	}
+	if (err == nil) != (want != nil) || !bytes.Equal(got, want) {
+		t.Fatalf("step %d: snapshot ReadRaw(%#x, %d): err %v, differs from ref", step, addr, n, err)
 	}
 }
 

@@ -9,11 +9,14 @@
 // rebooted the physical machine instead). Snapshots are generation-tagged
 // and copy-on-write: TakeSnapshot shares the current pages read-only
 // instead of deep-copying them, so many snapshots (the pristine boot
-// image plus per-target checkpoints) coexist cheaply. Restoring the most
-// recent snapshot costs one page-table repoint per page touched since it
-// was taken; restoring an older ("stale") snapshot walks the snapshot
-// parent chain and is exactly as correct, just proportional to all pages
-// touched since the two histories diverged.
+// image plus per-target checkpoints) coexist cheaply. A delta snapshot
+// (TakeDeltaSnapshot) goes further: it stores only the pages that
+// changed since a base snapshot and reads every other page through it.
+// Restoring the most recent snapshot costs one page-table repoint per
+// page touched since it was taken; restoring an older ("stale")
+// snapshot walks the snapshot parent chain and is exactly as correct,
+// just proportional to all pages touched since the two histories
+// diverged.
 //
 // The per-access hot path goes through a small software TLB: a
 // direct-mapped cache of recent page translations, kept per access kind
@@ -22,7 +25,10 @@
 // translations in O(1) by bumping a generation counter.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // PageSize is the page size in bytes (matching IA-32 4 KiB paging).
 const PageSize = 4096
@@ -733,15 +739,15 @@ func (m *Memory) ReadRawInto(addr uint32, out []byte) error {
 	if m.watch != nil {
 		m.observe(addr, uint32(len(out)), AccessRead)
 	}
-	return readRaw(m.pages, addr, out)
+	return readRaw(func(pn uint32) (*page, bool) { p, ok := m.pages[pn]; return p, ok }, addr, out)
 }
 
-// readRaw copies pages' content at addr into out, ignoring
-// permissions.
-func readRaw(pages map[uint32]*page, addr uint32, out []byte) error {
+// readRaw copies the content at addr of the pages page looks up into
+// out, ignoring permissions.
+func readRaw(page func(pn uint32) (*page, bool), addr uint32, out []byte) error {
 	for i := 0; i < len(out); {
 		a := addr + uint32(i)
-		p, ok := pages[a>>pageShift]
+		p, ok := page(a >> pageShift)
 		if !ok {
 			return &Fault{Addr: a, Access: AccessRead, NotPresent: true}
 		}
@@ -759,11 +765,16 @@ func readRaw(pages map[uint32]*page, addr uint32, out []byte) error {
 // table per snapshot, not one copy of RAM.
 //
 // Snapshots form a chain: each records its parent (the snapshot that
-// was current when it was taken) and the set of pages that changed
-// since that parent. Restore uses the chain to restore *any* snapshot
-// correctly; restoring the most recent one is the fast path.
+// was current when it was taken, or a delta's base) and the set of
+// pages that changed since that parent. Restore uses the chain to
+// restore *any* snapshot correctly; restoring the most recent one is
+// the fast path.
 type Snapshot struct {
+	// pages holds every mapped page, or for a delta snapshot only the
+	// mapped pages of sinceParent: a delta reads every other page
+	// through its parent.
 	pages map[uint32]*page
+	delta bool
 
 	// gen is the creation-order generation tag (1 for the first
 	// snapshot of a Memory). It identifies snapshots in tests and
@@ -786,11 +797,16 @@ type Snapshot struct {
 // at 1 for each Memory).
 func (s *Snapshot) Gen() uint64 { return s.gen }
 
+// Parent returns the snapshot s's recorded changes are relative to: the
+// base of a delta snapshot, or the snapshot that was current when a
+// full one was taken (nil for the first).
+func (s *Snapshot) Parent() *Snapshot { return s.parent }
+
 // ReadRaw returns size bytes at addr as they were when s was taken:
 // what Memory.ReadRaw returns right after restoring s.
 func (s *Snapshot) ReadRaw(addr, size uint32) ([]byte, error) {
 	out := make([]byte, size)
-	if err := readRaw(s.pages, addr, out); err != nil {
+	if err := readRaw(s.page, addr, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -800,7 +816,7 @@ func (s *Snapshot) ReadRaw(addr, size uint32) ([]byte, error) {
 // or nil if the page was unmapped. Snapshot pages are never written in
 // place, so the slice stays valid; callers must treat it as read-only.
 func (s *Snapshot) RawPage(pn uint32) []byte {
-	if p, ok := s.pages[pn]; ok {
+	if p, ok := s.page(pn); ok {
 		return p.data
 	}
 	return nil
@@ -809,10 +825,40 @@ func (s *Snapshot) RawPage(pn uint32) []byte {
 // PermAt returns the permissions of addr's page as they were when s was
 // taken (0 when the page was unmapped).
 func (s *Snapshot) PermAt(addr uint32) Perm {
-	if p, ok := s.pages[addr>>pageShift]; ok {
+	if p, ok := s.page(addr >> pageShift); ok {
 		return p.perm
 	}
 	return 0
+}
+
+// page returns page pn as it was when s was taken; ok is false when it
+// was unmapped. A delta snapshot answers a page outside its changed set
+// from its parent.
+func (s *Snapshot) page(pn uint32) (*page, bool) {
+	for s.delta {
+		if _, changed := s.sinceParent[pn]; changed {
+			break
+		}
+		s = s.parent
+	}
+	p, ok := s.pages[pn]
+	return p, ok
+}
+
+// allPages returns a page table holding every page of s.
+func (s *Snapshot) allPages() map[uint32]*page {
+	if !s.delta {
+		return maps.Clone(s.pages)
+	}
+	pages := s.parent.allPages()
+	for pn := range s.sinceParent {
+		if p, ok := s.pages[pn]; ok {
+			pages[pn] = p
+		} else {
+			delete(pages, pn)
+		}
+	}
+	return pages
 }
 
 // TakeSnapshot captures the current state and resets dirty tracking.
@@ -838,6 +884,45 @@ func (m *Memory) TakeSnapshot() *Snapshot {
 	m.dirty = make(map[uint32]struct{})
 	m.codeDirty = false
 	m.codeDirtyPages = make(map[uint32]struct{})
+	m.base = s
+	m.flushTLB()
+	return s
+}
+
+// TakeDeltaSnapshot captures the current state like TakeSnapshot, but
+// as a delta over base: it stores only the pages that may differ from
+// base (PagesChangedSince) and reads every other page through base,
+// which becomes its parent. It marks only those pages shared (every
+// other page already is), so it costs O(changed pages) instead of
+// O(mapped pages), and a chain of deltas over one base stays one link
+// deep. When base's history does not connect to the current state it
+// falls back to TakeSnapshot.
+func (m *Memory) TakeDeltaSnapshot(base *Snapshot) *Snapshot {
+	diff, code, codePages, ok := m.diffSince(base)
+	if !ok {
+		return m.TakeSnapshot()
+	}
+	pages := make(map[uint32]*page, len(diff))
+	for pn := range diff {
+		if p, ok := m.pages[pn]; ok {
+			p.shared = true
+			p.dirty = false
+			pages[pn] = p
+		}
+	}
+	m.snapGen++
+	s := &Snapshot{
+		pages:                  pages,
+		delta:                  true,
+		gen:                    m.snapGen,
+		parent:                 base,
+		sinceParent:            diff,
+		codeChangedSinceParent: code,
+		codePagesSinceParent:   codePages,
+	}
+	clear(m.dirty)
+	m.codeDirty = false
+	clear(m.codeDirtyPages)
 	m.base = s
 	m.flushTLB()
 	return s
@@ -869,7 +954,7 @@ func (m *Memory) Restore(s *Snapshot) {
 		clear(m.codeDirtyPages)
 	}
 	for pn := range m.dirty {
-		if sp, ok := s.pages[pn]; ok {
+		if sp, ok := s.page(pn); ok {
 			// sp is still shared and clean: repoint, don't copy.
 			m.pages[pn] = sp
 		} else {
@@ -882,49 +967,12 @@ func (m *Memory) Restore(s *Snapshot) {
 }
 
 // restoreStale restores a snapshot other than the current base. The
-// pages that may differ between the current state and s are exactly:
-// the pages dirtied since the current base, plus every sinceParent set
-// along both chains from base and from s down to their lowest common
-// ancestor. Everything outside that union is byte-identical in both
+// pages that may differ between the current state and s are exactly
+// diffSince's; everything outside that set is byte-identical in both
 // states and is left alone.
 func (m *Memory) restoreStale(s *Snapshot) {
-	anc := make(map[*Snapshot]bool)
-	for a := s; a != nil; a = a.parent {
-		anc[a] = true
-	}
-	diff := make(map[uint32]struct{}, len(m.dirty))
-	for pn := range m.dirty {
-		diff[pn] = struct{}{}
-	}
-	codeChanged := m.codeDirty
-	codePages := make(map[uint32]struct{}, len(m.codeDirtyPages))
-	for pn := range m.codeDirtyPages {
-		codePages[pn] = struct{}{}
-	}
-	foundLCA := false
-	for a := m.base; a != nil; a = a.parent {
-		if anc[a] {
-			foundLCA = true
-			for b := s; b != a; b = b.parent {
-				for pn := range b.sinceParent {
-					diff[pn] = struct{}{}
-				}
-				codeChanged = codeChanged || b.codeChangedSinceParent
-				for pn := range b.codePagesSinceParent {
-					codePages[pn] = struct{}{}
-				}
-			}
-			break
-		}
-		for pn := range a.sinceParent {
-			diff[pn] = struct{}{}
-		}
-		codeChanged = codeChanged || a.codeChangedSinceParent
-		for pn := range a.codePagesSinceParent {
-			codePages[pn] = struct{}{}
-		}
-	}
-	if !foundLCA {
+	diff, codeChanged, codePages, ok := m.diffSince(s)
+	if !ok {
 		// The snapshot's history is disconnected from this Memory's
 		// (e.g. it predates everything we have records for). Fall back
 		// to a full structural rebuild — always correct.
@@ -932,7 +980,7 @@ func (m *Memory) restoreStale(s *Snapshot) {
 		return
 	}
 	for pn := range diff {
-		if sp, ok := s.pages[pn]; ok {
+		if sp, ok := s.page(pn); ok {
 			m.pages[pn] = sp
 		} else {
 			delete(m.pages, pn)
@@ -951,6 +999,44 @@ func (m *Memory) restoreStale(s *Snapshot) {
 	m.flushTLB()
 }
 
+// diffSince returns the pages whose content, permissions or existence
+// may differ between the current state and snapshot s: the pages
+// dirtied since the current base, plus every sinceParent set along both
+// chains from base and from s down to their lowest common ancestor. It
+// also reports whether any of those changes involved executable content
+// and which pages they touched. ok is false when s's history does not
+// connect to this Memory's.
+func (m *Memory) diffSince(s *Snapshot) (diff map[uint32]struct{}, code bool, codePages map[uint32]struct{}, ok bool) {
+	diff = maps.Clone(m.dirty)
+	code, codePages = m.codeDirty, maps.Clone(m.codeDirtyPages)
+	add := func(a *Snapshot) {
+		for pn := range a.sinceParent {
+			diff[pn] = struct{}{}
+		}
+		code = code || a.codeChangedSinceParent
+		for pn := range a.codePagesSinceParent {
+			codePages[pn] = struct{}{}
+		}
+	}
+	if s == m.base {
+		return diff, code, codePages, true
+	}
+	anc := make(map[*Snapshot]bool)
+	for a := s; a != nil; a = a.parent {
+		anc[a] = true
+	}
+	for a := m.base; a != nil; a = a.parent {
+		if anc[a] {
+			for b := s; b != a; b = b.parent {
+				add(b)
+			}
+			return diff, code, codePages, true
+		}
+		add(a)
+	}
+	return nil, false, nil, false
+}
+
 // PagesChangedSince returns the set of page numbers whose content,
 // permissions or existence may differ between the current state and
 // snapshot s — a conservative superset, computed from the same dirty
@@ -961,31 +1047,8 @@ func (m *Memory) restoreStale(s *Snapshot) {
 // comparison — use it to look at only the pages a run touched instead
 // of re-reading multi-megabyte regions every run.
 func (m *Memory) PagesChangedSince(s *Snapshot) (map[uint32]struct{}, bool) {
-	diff := make(map[uint32]struct{}, len(m.dirty))
-	for pn := range m.dirty {
-		diff[pn] = struct{}{}
-	}
-	if s == m.base {
-		return diff, true
-	}
-	anc := make(map[*Snapshot]bool)
-	for a := s; a != nil; a = a.parent {
-		anc[a] = true
-	}
-	for a := m.base; a != nil; a = a.parent {
-		if anc[a] {
-			for b := s; b != a; b = b.parent {
-				for pn := range b.sinceParent {
-					diff[pn] = struct{}{}
-				}
-			}
-			return diff, true
-		}
-		for pn := range a.sinceParent {
-			diff[pn] = struct{}{}
-		}
-	}
-	return nil, false
+	diff, _, _, ok := m.diffSince(s)
+	return diff, ok
 }
 
 // DirtyCount returns the number of pages whose content, permissions or
@@ -1011,10 +1074,7 @@ func (m *Memory) RawPage(pn uint32) []byte {
 // the unconditionally-correct fallback for snapshots whose chain does
 // not connect to the current base.
 func (m *Memory) rebuildFrom(s *Snapshot) {
-	m.pages = make(map[uint32]*page, len(s.pages))
-	for pn, p := range s.pages {
-		m.pages[pn] = p
-	}
+	m.pages = s.allPages()
 	m.dirty = make(map[uint32]struct{})
 	m.codeGen++
 	// The page-level history does not connect either: invalidate every
