@@ -193,7 +193,7 @@ func run(args []string) error {
 		jw          *journal.Writer
 		prior       *journal.Journal
 		campaignStr = *campaigns
-		metrics     *obs.Metrics
+		metrics     = obs.New(cfg.Workers)
 		jwDrained   bool
 	)
 	// Every exit after a journal is open routes through this one drain:
@@ -206,12 +206,8 @@ func run(args []string) error {
 			return nil
 		}
 		jwDrained = true
-		var trailer *obs.Snapshot
-		if metrics != nil {
-			s := metrics.Snapshot()
-			trailer = &s
-		}
-		return jw.Close(trailer)
+		s := metrics.Snapshot()
+		return jw.Close(&s)
 	}
 	defer drainJournal()
 	if *resumePath != "" {
@@ -273,7 +269,6 @@ func run(args []string) error {
 		jw = w
 	}
 
-	metrics = obs.New(cfg.Workers)
 	cfg.Metrics = metrics
 	if jw != nil {
 		jw.Metrics = metrics

@@ -126,7 +126,8 @@ type Config struct {
 	// Workers then sizes the dispatch concurrency against the remote
 	// fleet rather than in-process simulated machines.
 	Remote Remote
-	// Metrics, when set, is updated live during campaigns.
+	// Metrics is updated live during campaigns (New substitutes a
+	// private one when unset).
 	Metrics *obs.Metrics
 }
 
@@ -169,6 +170,9 @@ func New(cfg Config) (*Study, error) {
 	}
 	if cfg.CoverFrac == 0 {
 		cfg.CoverFrac = 0.95
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.New(cfg.Workers)
 	}
 	model, err := inject.ModelByName(cfg.FaultModel)
 	if err != nil {
@@ -291,20 +295,15 @@ func (s *Study) cancelled() bool {
 // produced no usable result and the runner's machine state is suspect.
 func (s *Study) runTimed(runner *inject.Runner, worker int, c inject.Campaign, t inject.Target) (inject.Result, *inject.HarnessFault) {
 	m := s.Cfg.Metrics
-	if m != nil {
-		m.RunStarted(worker)
-	}
+	m.RunsStarted.Add(1)
 	start := time.Now()
 	res, hf := runner.SafeRunTarget(c, t)
-	if m != nil {
-		if hf != nil {
-			m.HarnessFault(worker, hf.Kind, time.Since(start))
-		} else {
-			m.RunFinished(worker, &res, time.Since(start))
-		}
-		d := runner.BlockStatsDelta()
-		m.BlockStats(d.Hits, d.Misses, d.Flushes, d.Fallbacks)
+	if hf != nil {
+		m.HarnessFault(worker, hf.Kind, time.Since(start))
+	} else {
+		m.RunFinished(worker, &res, time.Since(start))
 	}
+	m.BlockStats(runner.BlockStatsDelta())
 	return res, hf
 }
 
@@ -372,18 +371,12 @@ func (s *Study) runReliable(runner *inject.Runner, worker int, c inject.Campaign
 			return res, hf, out, fmt.Errorf("core: worker %d: reboot after harness fault (%v): %w", worker, hf, berr)
 		}
 		out = fresh
-		if m != nil {
-			m.RunnerReboot()
-		}
+		m.RunnerReboots.Add(1)
 		if attempt >= s.maxRetries() {
-			if m != nil {
-				m.Quarantined()
-			}
+			m.Quarantined.Add(1)
 			return res, hf, out, nil
 		}
-		if m != nil {
-			m.Retry()
-		}
+		m.Retries.Add(1)
 	}
 }
 
@@ -481,9 +474,7 @@ func (s *Study) RunCampaign(c inject.Campaign) ([]inject.Result, error) {
 		}
 		pending = append(pending, i)
 	}
-	if s.Cfg.Metrics != nil && nskip > 0 {
-		s.Cfg.Metrics.Skip(nskip)
-	}
+	s.Cfg.Metrics.Skipped.Add(int64(nskip))
 	if s.Cfg.Sink != nil {
 		if err := s.Cfg.Sink.BeginCampaign(c, total); err != nil {
 			return nil, err
@@ -583,32 +574,26 @@ func (s *Study) bootWorkers(workers int) ([]*inject.Runner, error) {
 }
 
 // RunRemote executes one target on r for the given worker, with
-// metrics accounting (m may be nil). The remote worker's own
-// in-process retries are invisible here; the fault it reports is
-// counted once. It is the run step of both remote executors: the
-// process-isolated campaign loop (Config.Remote) and the fleet's pools.
+// metrics accounting. The remote worker's own in-process retries are
+// invisible here; the fault it reports is counted once. It is the run
+// step of both remote executors: the process-isolated campaign loop
+// (Config.Remote) and the fleet's pools.
 func RunRemote(r Remote, m *obs.Metrics, worker int, campaign string, ordinal int) (inject.Result, *inject.HarnessFault, error) {
-	if m != nil {
-		m.RunStarted(worker)
-	}
+	m.RunsStarted.Add(1)
 	start := time.Now()
 	res, hf, err := r.Do(campaign, ordinal)
 	if err != nil {
 		return inject.Result{}, nil, err
 	}
 	if hf != nil {
-		if m != nil {
-			m.HarnessFault(worker, hf.Kind, time.Since(start))
-			m.Quarantined()
-		}
+		m.HarnessFault(worker, hf.Kind, time.Since(start))
+		m.Quarantined.Add(1)
 		return inject.Result{}, hf, nil
 	}
 	if res == nil {
 		return inject.Result{}, nil, fmt.Errorf("core: remote run %s/%d returned neither result nor fault", campaign, ordinal)
 	}
-	if m != nil {
-		m.RunFinished(worker, res, time.Since(start))
-	}
+	m.RunFinished(worker, res, time.Since(start))
 	return *res, nil, nil
 }
 

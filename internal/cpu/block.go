@@ -96,18 +96,24 @@ type block struct {
 }
 
 // BlockStats are the block engine's lifetime counters for one CPU.
+// Workers ship deltas of them in wire reply frames.
 type BlockStats struct {
 	// Hits counts dispatches served by a cached valid block.
-	Hits uint64
+	Hits uint64 `json:",omitempty"`
 	// Misses counts block builds (including negative entries).
-	Misses uint64
+	Misses uint64 `json:",omitempty"`
 	// Flushes counts cached blocks discarded because the code they
 	// decoded actually changed (page-level invalidation).
-	Flushes uint64
+	Flushes uint64 `json:",omitempty"`
 	// Fallbacks counts single-step dispatches taken while the block
 	// engine was on: breakpoint inside the block, exhausted budget
 	// margin, or an unbuildable block.
-	Fallbacks uint64
+	Fallbacks uint64 `json:",omitempty"`
+}
+
+// Sub returns the counts accumulated since prev.
+func (s BlockStats) Sub(prev BlockStats) BlockStats {
+	return BlockStats{s.Hits - prev.Hits, s.Misses - prev.Misses, s.Flushes - prev.Flushes, s.Fallbacks - prev.Fallbacks}
 }
 
 // BlockStats returns the block engine's counters.

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/inject"
 	"repro/internal/wire"
 )
@@ -26,6 +27,9 @@ const WorkerBeatEvery = time.Second
 // implementation, so a supervisor never cares which binary serves it.
 type Backend struct {
 	study *core.Study
+	// sent is the study's block-engine counter total at the previous
+	// BlockStatsDelta call.
+	sent cpu.BlockStats
 }
 
 // Boot prepares the worker's simulated machine from the shipped spec
@@ -82,13 +86,21 @@ func (b *Backend) Run(campaign string, ordinal int) (*inject.Result, *inject.Har
 	return &res, nil, nil
 }
 
-// BlockStatsDelta reports the worker CPU's superblock-engine counter
-// deltas since the previous reply; wire.Serve attaches them to result
-// and fault frames so the supervisor can fold worker cache behavior
-// into its metrics.
-func (b *Backend) BlockStatsDelta() wire.BlockDelta {
-	d := b.study.Runner.BlockStatsDelta()
-	return wire.BlockDelta{Hits: d.Hits, Misses: d.Misses, Flushes: d.Flushes, Fallbacks: d.Fallbacks}
+// BlockStatsDelta reports the superblock-engine counters the study's
+// runs added since the previous reply; wire.Serve attaches them to
+// result and fault frames so the supervisor can fold worker cache
+// behavior into its metrics.
+func (b *Backend) BlockStatsDelta() cpu.BlockStats {
+	m := b.study.Cfg.Metrics
+	cur := cpu.BlockStats{
+		Hits:      uint64(m.BlockCacheHits.Load()),
+		Misses:    uint64(m.BlockCacheMisses.Load()),
+		Flushes:   uint64(m.BlockFlushes.Load()),
+		Fallbacks: uint64(m.BlockFallbacks.Load()),
+	}
+	d := cur.Sub(b.sent)
+	b.sent = cur
+	return d
 }
 
 // ServeWorker runs the worker side of the wire protocol over the given

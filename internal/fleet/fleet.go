@@ -73,9 +73,7 @@ func (d *dedupSink) Put(c inject.Campaign, worker, ordinal, total int, res injec
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.f.alreadyDone(key, ordinal) {
-		if d.f.cfg.Metrics != nil {
-			d.f.cfg.Metrics.DupOrdinalDropped()
-		}
+		d.f.cfg.Metrics.DupOrdinalsDropped.Add(1)
 		return nil
 	}
 	if err := d.sink.Put(c, worker, ordinal, total, res); err != nil {
@@ -93,9 +91,7 @@ func (d *dedupSink) Quarantine(c inject.Campaign, worker, ordinal int, hf inject
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.f.alreadyDone(key, ordinal) {
-		if d.f.cfg.Metrics != nil {
-			d.f.cfg.Metrics.DupOrdinalDropped()
-		}
+		d.f.cfg.Metrics.DupOrdinalsDropped.Add(1)
 		return nil
 	}
 	if err := d.sink.Quarantine(c, worker, ordinal, hf); err != nil {
@@ -157,7 +153,8 @@ type Config struct {
 	Totals     map[string]int
 	// Pools is the fleet layout; at least one.
 	Pools []PoolConfig
-	// Metrics, when set, receives fleet and supervisor counters.
+	// Metrics receives fleet and supervisor counters (New substitutes a
+	// private one when unset).
 	Metrics *obs.Metrics
 }
 
@@ -253,6 +250,9 @@ func New(cfg Config) (*Fleet, error) {
 			cfg.Pools[i].Workers = 1
 		}
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.New(1)
+	}
 	return &Fleet{cfg: cfg}, nil
 }
 
@@ -333,13 +333,11 @@ func (f *Fleet) poolLoop(p *pool, q *queue.Queue, sink *dedupSink) {
 			p.err = err
 			p.died.Store(true)
 			q.Release(shard.ID, p.cfg.Name)
-			if f.cfg.Metrics != nil {
-				f.cfg.Metrics.PoolDeath()
-				if p.cfg.Hub != nil {
-					// A lost remote pool is the graceful-degradation
-					// path: the queue drains on the surviving pools.
-					f.cfg.Metrics.Degraded()
-				}
+			f.cfg.Metrics.PoolDeaths.Add(1)
+			if p.cfg.Hub != nil {
+				// A lost remote pool is the graceful-degradation path:
+				// the queue drains on the surviving pools.
+				f.cfg.Metrics.Degradations.Add(1)
 			}
 			return
 		}
@@ -357,9 +355,7 @@ func (f *Fleet) poolLoop(p *pool, q *queue.Queue, sink *dedupSink) {
 			p.died.Store(true)
 			return
 		}
-		if f.cfg.Metrics != nil {
-			f.cfg.Metrics.ShardCompleted()
-		}
+		f.cfg.Metrics.ShardsCompleted.Add(1)
 	}
 }
 

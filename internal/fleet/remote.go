@@ -232,19 +232,13 @@ func (h *Hub) dialFunc(pc PoolConfig, metrics *obs.Metrics) func() (supervisor.L
 			conn := wire.NewConn(c, c)
 			if err := probeWorker(conn); err != nil {
 				c.Close()
-				if metrics != nil {
-					metrics.RemoteProbeFail()
-				}
+				metrics.RemoteProbeFails.Add(1)
 				continue
 			}
-			if metrics != nil {
-				metrics.RemoteAttach()
-			}
+			metrics.RemoteAttaches.Add(1)
 			return &tcpLink{c: c, conn: conn}, nil
 		}
-		if metrics != nil {
-			metrics.RemoteDialTimeout()
-		}
+		metrics.RemoteDialTimeouts.Add(1)
 		return nil, fmt.Errorf("fleet: no remote worker joined pool %q within %s", pc.Name, wait)
 	}
 }

@@ -148,7 +148,7 @@ func TestHubRejectsVersionSkewAtProbe(t *testing.T) {
 // return within JoinWait when no worker ever connects.
 func TestDialTimesOutOnEmptyHub(t *testing.T) {
 	hub := listenHub(t)
-	dial := hub.dialFunc(PoolConfig{Name: "r", JoinWait: 100 * time.Millisecond}, nil)
+	dial := hub.dialFunc(PoolConfig{Name: "r", JoinWait: 100 * time.Millisecond}, obs.New(1))
 	start := time.Now()
 	if _, err := dial(); err == nil {
 		t.Fatal("dial succeeded on an empty hub")
@@ -176,7 +176,7 @@ func TestListenerStopRestart(t *testing.T) {
 		t.Fatalf("RestartListener: %v", err)
 	}
 	startWorker(t, hub.Addr())
-	dial := hub.dialFunc(PoolConfig{Name: "r", JoinWait: 10 * time.Second}, nil)
+	dial := hub.dialFunc(PoolConfig{Name: "r", JoinWait: 10 * time.Second}, obs.New(1))
 	link, err := dial()
 	if err != nil {
 		t.Fatalf("dial after restart: %v", err)

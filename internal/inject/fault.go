@@ -44,6 +44,10 @@ const (
 	FaultArm FaultKind = "arm"
 )
 
+// FaultKinds lists every declared harness fault kind.
+var FaultKinds = [...]FaultKind{FaultPanic, FaultTimeout, FaultHostError, FaultBreakpointIO,
+	FaultWorkerDeath, FaultReplayDiverged, FaultArm}
+
 // HarnessFault records one failure of the harness during an injection
 // run. It is not an outcome: the run produced no trustworthy result,
 // the machine state is suspect, and the caller must boot a fresh

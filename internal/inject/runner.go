@@ -203,14 +203,9 @@ func (r *Runner) Model() FaultModel { return r.model }
 // feed the deltas into obs.Metrics after each run.
 func (r *Runner) BlockStatsDelta() cpu.BlockStats {
 	cur := r.M.CPU.BlockStats()
-	last := r.lastBStats
+	d := cur.Sub(r.lastBStats)
 	r.lastBStats = cur
-	return cpu.BlockStats{
-		Hits:      cur.Hits - last.Hits,
-		Misses:    cur.Misses - last.Misses,
-		Flushes:   cur.Flushes - last.Flushes,
-		Fallbacks: cur.Fallbacks - last.Fallbacks,
-	}
+	return d
 }
 
 // Checkpointing reports whether checkpoint reuse is on.

@@ -28,7 +28,7 @@ func TestFixtureJournalReads(t *testing.T) {
 			"C": {1: {Kind: inject.FaultPanic, Msg: "poison", Func: "fn_1"}},
 		},
 		Marks:   []ShardMark{{Shard: 1, Campaign: "C", Ordinal: 1}},
-		Trailer: &obs.Snapshot{RunsStarted: 2, RunsCompleted: 1, Quarantined: 1, JournalFlushes: 2},
+		Trailer: &obs.Snapshot{Counters: obs.Counters[int64]{RunsStarted: 2, RunsCompleted: 1, Quarantined: 1, JournalFlushes: 2}},
 		Frames:  7,
 	}
 	if !reflect.DeepEqual(j, want) {

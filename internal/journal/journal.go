@@ -123,7 +123,8 @@ type Writer struct {
 	// FlushEvery is the number of buffered result records that forces
 	// a flush (default DefaultFlushEvery).
 	FlushEvery int
-	// Metrics, when set, receives flush counters.
+	// Metrics receives flush counters (Create and OpenAppend start it
+	// with a private one).
 	Metrics *obs.Metrics
 }
 
@@ -137,7 +138,7 @@ func Create(path string, h Header) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: create: %w", err)
 	}
-	return &Writer{f: f, FlushEvery: DefaultFlushEvery, marks: make(map[int]map[string]int)}, nil
+	return &Writer{f: f, FlushEvery: DefaultFlushEvery, marks: make(map[int]map[string]int), Metrics: obs.New(1)}, nil
 }
 
 // OpenAppend reopens an existing journal for resumption: it scans the
@@ -156,7 +157,7 @@ func OpenAppend(path string) (*Writer, *Journal, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: reopen: %w", err)
 	}
-	w := &Writer{f: f, FlushEvery: DefaultFlushEvery, marks: make(map[int]map[string]int)}
+	w := &Writer{f: f, FlushEvery: DefaultFlushEvery, marks: make(map[int]map[string]int), Metrics: obs.New(1)}
 	for key, entries := range j.Entries {
 		for _, e := range entries {
 			w.mark(e.Worker, key, e.Ordinal)
@@ -274,9 +275,7 @@ func (w *Writer) flushLocked() error {
 	}
 	w.pending = buf[:0]
 	w.pendingN = 0
-	if w.Metrics != nil {
-		w.Metrics.JournalFlush(len(buf))
-	}
+	w.Metrics.JournalFlush(len(buf))
 	return nil
 }
 

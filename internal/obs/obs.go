@@ -8,82 +8,119 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/inject"
 )
+
+// Counters declares every scalar counter once. Metrics holds it as
+// live atomics and Snapshot as plain values. A field's name is its
+// JSON key in the journal trailer and the kampaignd status. Its obs
+// tag, "label" or "label,note", makes Render print "label N (note)"
+// while the counter is nonzero; an untagged counter is rendered by a
+// composite line or not at all. Adding a counter is one field here
+// plus the call site that counts it, e.g. m.PoolDeaths.Add(1).
+type Counters[T any] struct {
+	RunsStarted   T
+	RunsCompleted T
+	// Skipped counts targets restored from a journal instead of re-run.
+	Skipped   T `obs:"skipped (resumed)"`
+	Activated T
+
+	// Batches flushed to the result journal and their bytes.
+	JournalFlushes T
+	JournalBytes   T
+
+	// Harness fault tolerance: retries on fresh runners, runner
+	// reboots after suspect machine state, and targets quarantined
+	// after exhausted retries.
+	Retries       T `json:",omitempty" obs:"harness retries"`
+	RunnerReboots T `json:",omitempty" obs:"runner reboots"`
+	Quarantined   T `json:",omitempty" obs:"quarantined,excluded from analysis"`
+
+	// Process-isolation supervision: worker restarts after abnormal
+	// deaths (crash, hang kill, protocol error), supervisor-initiated
+	// kills, per-target circuit-breaker trips after consecutive worker
+	// deaths, rejected protocol frames (bad CRC, mismatched reply,
+	// unexpected type) and chaos-test kills (excluded from the breaker
+	// and the restart budget).
+	WorkerRestarts T `json:",omitempty" obs:"worker restarts"`
+	WorkerKills    T `json:",omitempty" obs:"worker kills,heartbeat/boot deadline"`
+	BreakerTrips   T `json:",omitempty" obs:"breaker trips,targets abandoned to quarantine"`
+	FramesRejected T `json:",omitempty" obs:"frames rejected"`
+	ChaosKills     T `json:",omitempty" obs:"chaos kills,fault-injection test wrapper"`
+
+	// Fleet (campaign-manager) supervision: durable queue shards
+	// completed and whole pools lost mid-campaign.
+	ShardsCompleted T `json:",omitempty" obs:"shards completed"`
+	PoolDeaths      T `json:",omitempty" obs:"pool deaths,shards requeued to survivors"`
+
+	// Remote execution plane: TCP workers attached to remote pools
+	// (initial connects and reconnects), attach probes that discarded
+	// a dead or version-skewed connection, dials that found no worker
+	// within the join wait (charged to the pool's restart budget),
+	// workers abandoned because a read deadline expired mid-frame (the
+	// peer died after a partial write), remote pools lost with the
+	// campaign degrading onto the survivors, stale shard leases
+	// reclaimed from pools that stopped making progress, and duplicate
+	// ordinal results dropped at the merged sink (a shard re-executed
+	// after a partition or lease reclaim raced its first execution).
+	RemoteAttaches     T `json:",omitempty" obs:"remote attaches,TCP workers vetted onto pools"`
+	RemoteProbeFails   T `json:",omitempty" obs:"remote probe fails,dead or skewed connections discarded"`
+	RemoteDialTimeouts T `json:",omitempty" obs:"remote dial t/o,no worker joined within the wait"`
+	DeadlineKills      T `json:",omitempty" obs:"deadline kills,peers dead mid-frame"`
+	Degradations       T `json:",omitempty" obs:"degradations,remote pools lost; survivors drained the queue"`
+	LeaseReclaims      T `json:",omitempty" obs:"lease reclaims,stale shard leases broken live"`
+	DupOrdinalsDropped T `json:",omitempty" obs:"dup ordinals,re-executed shard results deduplicated"`
+
+	// Superblock trace-execution engine (cpu.BlockStats deltas, summed
+	// across the study's runner machines): block-cache hits, decodes,
+	// code-change flushes and single-step fallbacks. All zero when the
+	// engine is disabled (-blocks=false).
+	BlockCacheHits   T `json:",omitempty"`
+	BlockCacheMisses T `json:",omitempty"`
+	BlockFlushes     T `json:",omitempty"`
+	BlockFallbacks   T `json:",omitempty"`
+}
+
+// counterLine is one tagged Counters field.
+type counterLine struct {
+	field       int
+	label, note string
+}
+
+// counterLines are the tagged Counters fields in declaration order.
+var counterLines = func() (out []counterLine) {
+	t := reflect.TypeFor[Counters[int64]]()
+	for i := range t.NumField() {
+		if tag, ok := t.Field(i).Tag.Lookup("obs"); ok {
+			label, note, _ := strings.Cut(tag, ",")
+			out = append(out, counterLine{i, label, note})
+		}
+	}
+	return out
+}()
 
 // Metrics is the set of live counters for one study. Create it with
 // New and share the pointer between the driver and the workers; the
 // zero value is not usable.
 type Metrics struct {
+	Counters[atomic.Int64]
+
 	start time.Time
 	now   func() time.Time
 
-	runsStarted atomic.Int64
-	runsDone    atomic.Int64
-	skipped     atomic.Int64
-	activated   atomic.Int64
 	// outcomes is indexed by inject.Outcome (1..5).
 	outcomes [6]atomic.Int64
-
-	flushes      atomic.Int64
-	flushedBytes atomic.Int64
-
-	// Harness fault-tolerance counters: recovered faults by kind,
-	// retries on fresh runners, runner reboots after suspect machine
-	// state, and targets quarantined after exhausted retries.
-	faultPanics   atomic.Int64
-	faultTimeouts atomic.Int64
-	faultHost     atomic.Int64
-	faultBP       atomic.Int64
-	faultOther    atomic.Int64
-	retries       atomic.Int64
-	reboots       atomic.Int64
-	quarantined   atomic.Int64
-
-	// Supervisor (process-isolation) counters: worker restarts after
-	// abnormal deaths, supervisor-initiated kills (heartbeat
-	// deadline), per-target circuit-breaker trips, rejected protocol
-	// frames and chaos-test kills.
-	workerRestarts atomic.Int64
-	workerKills    atomic.Int64
-	breakerTrips   atomic.Int64
-	framesRejected atomic.Int64
-	chaosKills     atomic.Int64
-
-	// Fleet (campaign-manager) counters: durable queue shards
-	// completed and whole worker pools lost mid-campaign.
-	shardsCompleted atomic.Int64
-	poolDeaths      atomic.Int64
-
-	// Remote execution plane counters: TCP workers attached to remote
-	// pools, attach probes that failed (dead or version-skewed
-	// connection discarded), dial attempts that found no worker within
-	// the join wait, workers killed because a read deadline expired
-	// mid-frame, remote pools lost with the campaign degrading onto
-	// the survivors, stale shard leases reclaimed from wedged pools,
-	// and duplicate ordinal results dropped at the merged sink after a
-	// shard re-execution.
-	remoteAttaches     atomic.Int64
-	remoteProbeFails   atomic.Int64
-	remoteDialTimeouts atomic.Int64
-	deadlineKills      atomic.Int64
-	degradations       atomic.Int64
-	leaseReclaims      atomic.Int64
-	dupOrdinalsDropped atomic.Int64
-
-	// Superblock-engine counters (cpu.BlockStats deltas, summed across
-	// runner machines): dispatches served by a cached block, blocks
-	// decoded, blocks discarded because their code page changed, and
-	// conservative single-step fallbacks.
-	blockHits      atomic.Int64
-	blockMisses    atomic.Int64
-	blockFlushes   atomic.Int64
-	blockFallbacks atomic.Int64
+	// faults is indexed like inject.FaultKinds; the last slot counts
+	// undeclared kinds as "other".
+	faults [len(inject.FaultKinds) + 1]atomic.Int64
 
 	workers []workerStats
 }
@@ -104,17 +141,12 @@ func New(workers int) *Metrics {
 	return m
 }
 
-// RunStarted records that a worker claimed a target.
-func (m *Metrics) RunStarted(worker int) {
-	m.runsStarted.Add(1)
-}
-
 // RunFinished records one completed injection run and the time the
 // worker spent executing it.
 func (m *Metrics) RunFinished(worker int, res *inject.Result, busy time.Duration) {
-	m.runsDone.Add(1)
+	m.RunsCompleted.Add(1)
 	if res.Activated {
-		m.activated.Add(1)
+		m.Activated.Add(1)
 	}
 	if o := int(res.Outcome); o >= 1 && o < len(m.outcomes) {
 		m.outcomes[o].Add(1)
@@ -125,112 +157,32 @@ func (m *Metrics) RunFinished(worker int, res *inject.Result, busy time.Duration
 	}
 }
 
-// Skip records n targets restored from a journal instead of re-run.
-func (m *Metrics) Skip(n int) {
-	m.skipped.Add(int64(n))
-}
-
 // HarnessFault records one recovered harness fault (the run produced
 // no result; the worker's busy time is still accounted).
 func (m *Metrics) HarnessFault(worker int, kind inject.FaultKind, busy time.Duration) {
-	switch kind {
-	case inject.FaultPanic:
-		m.faultPanics.Add(1)
-	case inject.FaultTimeout:
-		m.faultTimeouts.Add(1)
-	case inject.FaultHostError:
-		m.faultHost.Add(1)
-	case inject.FaultBreakpointIO:
-		m.faultBP.Add(1)
-	default:
-		m.faultOther.Add(1)
+	i := slices.Index(inject.FaultKinds[:], kind)
+	if i < 0 {
+		i = len(inject.FaultKinds)
 	}
+	m.faults[i].Add(1)
 	if worker >= 0 && worker < len(m.workers) {
 		m.workers[worker].busy.Add(int64(busy))
 	}
 }
 
-// Retry records one harness-fault retry on a freshly booted runner.
-func (m *Metrics) Retry() { m.retries.Add(1) }
-
-// RunnerReboot records one worker runner reboot (machine state was
-// suspect after a harness fault).
-func (m *Metrics) RunnerReboot() { m.reboots.Add(1) }
-
-// Quarantined records one target quarantined after exhausted retries.
-func (m *Metrics) Quarantined() { m.quarantined.Add(1) }
-
-// WorkerRestart records one worker subprocess restart after an
-// abnormal death (crash, hang kill, protocol error).
-func (m *Metrics) WorkerRestart() { m.workerRestarts.Add(1) }
-
-// WorkerKill records one supervisor-initiated worker kill (heartbeat
-// or boot deadline exceeded).
-func (m *Metrics) WorkerKill() { m.workerKills.Add(1) }
-
-// BreakerTrip records one per-target circuit breaker opening after
-// consecutive worker deaths.
-func (m *Metrics) BreakerTrip() { m.breakerTrips.Add(1) }
-
-// FrameRejected records one rejected worker protocol frame (bad CRC,
-// mismatched reply, unexpected type).
-func (m *Metrics) FrameRejected() { m.framesRejected.Add(1) }
-
-// ChaosKill records one chaos-test worker kill (excluded from the
-// breaker and the restart budget).
-func (m *Metrics) ChaosKill() { m.chaosKills.Add(1) }
-
-// ShardCompleted records one queue shard durably completed by a pool.
-func (m *Metrics) ShardCompleted() { m.shardsCompleted.Add(1) }
-
-// PoolDeath records one worker pool lost mid-campaign (its leased
-// shards were requeued to the survivors).
-func (m *Metrics) PoolDeath() { m.poolDeaths.Add(1) }
-
-// RemoteAttach records one remote TCP worker vetted and attached to a
-// pool (initial connects and reconnects both land here).
-func (m *Metrics) RemoteAttach() { m.remoteAttaches.Add(1) }
-
-// RemoteProbeFail records one claimed remote connection discarded at
-// the attach probe: dead, silent past the probe deadline, or
-// version-skewed.
-func (m *Metrics) RemoteProbeFail() { m.remoteProbeFails.Add(1) }
-
-// RemoteDialTimeout records one remote dial that found no joinable
-// worker within the join wait (charged to the pool's restart budget).
-func (m *Metrics) RemoteDialTimeout() { m.remoteDialTimeouts.Add(1) }
-
-// DeadlineKill records one worker abandoned because a read deadline
-// expired mid-frame (the peer died after a partial write).
-func (m *Metrics) DeadlineKill() { m.deadlineKills.Add(1) }
-
-// Degraded records one remote pool lost with the campaign degrading
-// onto the surviving (typically local) pools.
-func (m *Metrics) Degraded() { m.degradations.Add(1) }
-
-// LeaseReclaim records one stale shard lease reclaimed from a pool
-// that stopped making progress.
-func (m *Metrics) LeaseReclaim() { m.leaseReclaims.Add(1) }
-
-// DupOrdinalDropped records one duplicate ordinal result suppressed at
-// the merged sink (a shard re-executed after a partition or lease
-// reclaim raced its first execution).
-func (m *Metrics) DupOrdinalDropped() { m.dupOrdinalsDropped.Add(1) }
-
 // BlockStats accumulates superblock-engine counter deltas from one
-// runner machine (hits, misses, page-invalidation flushes, single-step
-// fallbacks).
-func (m *Metrics) BlockStats(hits, misses, flushes, fallbacks uint64) {
-	m.blockHits.Add(int64(hits))
-	m.blockMisses.Add(int64(misses))
-	m.blockFlushes.Add(int64(flushes))
-	m.blockFallbacks.Add(int64(fallbacks))
+// runner machine.
+func (m *Metrics) BlockStats(d cpu.BlockStats) {
+	m.BlockCacheHits.Add(int64(d.Hits))
+	m.BlockCacheMisses.Add(int64(d.Misses))
+	m.BlockFlushes.Add(int64(d.Flushes))
+	m.BlockFallbacks.Add(int64(d.Fallbacks))
 }
 
 // JournalFlush records one batch flushed to the result journal.
 func (m *Metrics) JournalFlush(bytes int) {
-	m.flushes.Add(1)
-	m.flushedBytes.Add(int64(bytes))
+	m.JournalFlushes.Add(1)
+	m.JournalBytes.Add(int64(bytes))
 }
 
 // WorkerStat is the per-worker slice of a Snapshot.
@@ -244,59 +196,16 @@ type WorkerStat struct {
 // journal trailer and renderable as the live status line or the final
 // metrics block.
 type Snapshot struct {
-	Elapsed        time.Duration
-	RunsStarted    int64
-	RunsCompleted  int64
-	Skipped        int64
-	Activated      int64
+	Elapsed time.Duration
+	Counters[int64]
 	Outcomes       map[string]int64
 	ActivationRate float64 // activated / completed
 	RunsPerSec     float64
 	Workers        []WorkerStat
-	JournalFlushes int64
-	JournalBytes   int64
 
-	// Harness fault tolerance: recovered faults by kind ("panic",
-	// "timeout", "host-error", "breakpoint-io"), retries, runner
-	// reboots and quarantined targets.
+	// HarnessFaults counts recovered harness faults by inject.FaultKind,
+	// with undeclared kinds under "other".
 	HarnessFaults map[string]int64 `json:",omitempty"`
-	Retries       int64            `json:",omitempty"`
-	RunnerReboots int64            `json:",omitempty"`
-	Quarantined   int64            `json:",omitempty"`
-
-	// Process-isolation supervision: worker restarts, kills, breaker
-	// trips, rejected frames and chaos-test kills.
-	WorkerRestarts int64 `json:",omitempty"`
-	WorkerKills    int64 `json:",omitempty"`
-	BreakerTrips   int64 `json:",omitempty"`
-	FramesRejected int64 `json:",omitempty"`
-	ChaosKills     int64 `json:",omitempty"`
-
-	// Fleet (campaign-manager) supervision: durable queue shards
-	// completed and whole pools lost mid-campaign.
-	ShardsCompleted int64 `json:",omitempty"`
-	PoolDeaths      int64 `json:",omitempty"`
-
-	// Remote execution plane: TCP worker attaches, failed attach
-	// probes, dial timeouts, read-deadline kills, remote-pool losses
-	// absorbed by degradation, stale lease reclaims and duplicate
-	// ordinals dropped at the merged sink.
-	RemoteAttaches     int64 `json:",omitempty"`
-	RemoteProbeFails   int64 `json:",omitempty"`
-	RemoteDialTimeouts int64 `json:",omitempty"`
-	DeadlineKills      int64 `json:",omitempty"`
-	Degradations       int64 `json:",omitempty"`
-	LeaseReclaims      int64 `json:",omitempty"`
-	DupOrdinalsDropped int64 `json:",omitempty"`
-
-	// Superblock trace-execution engine: block-cache hits, decodes,
-	// code-change flushes and single-step fallbacks, summed across the
-	// study's runner machines. All zero when the engine is disabled
-	// (-blocks=false).
-	BlockCacheHits   int64 `json:",omitempty"`
-	BlockCacheMisses int64 `json:",omitempty"`
-	BlockFlushes     int64 `json:",omitempty"`
-	BlockFallbacks   int64 `json:",omitempty"`
 }
 
 // HarnessFaultTotal sums the recovered harness faults across kinds.
@@ -310,57 +219,29 @@ func (s Snapshot) HarnessFaultTotal() int64 {
 
 // Snapshot freezes the current counters.
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		Elapsed:        m.now().Sub(m.start),
-		RunsStarted:    m.runsStarted.Load(),
-		RunsCompleted:  m.runsDone.Load(),
-		Skipped:        m.skipped.Load(),
-		Activated:      m.activated.Load(),
-		Outcomes:       make(map[string]int64),
-		JournalFlushes: m.flushes.Load(),
-		JournalBytes:   m.flushedBytes.Load(),
+	s := Snapshot{Elapsed: m.now().Sub(m.start), Outcomes: make(map[string]int64)}
+	live := reflect.ValueOf(&m.Counters).Elem()
+	frozen := reflect.ValueOf(&s.Counters).Elem()
+	for i := range live.NumField() {
+		frozen.Field(i).SetInt(live.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
 	for o := 1; o < len(m.outcomes); o++ {
 		if n := m.outcomes[o].Load(); n > 0 {
 			s.Outcomes[inject.Outcome(o).String()] = n
 		}
 	}
-	faults := map[string]int64{
-		string(inject.FaultPanic):        m.faultPanics.Load(),
-		string(inject.FaultTimeout):      m.faultTimeouts.Load(),
-		string(inject.FaultHostError):    m.faultHost.Load(),
-		string(inject.FaultBreakpointIO): m.faultBP.Load(),
-		"other":                          m.faultOther.Load(),
-	}
-	for kind, n := range faults {
-		if n == 0 {
-			delete(faults, kind)
+	for i := range m.faults {
+		if n := m.faults[i].Load(); n > 0 {
+			kind := "other"
+			if i < len(inject.FaultKinds) {
+				kind = string(inject.FaultKinds[i])
+			}
+			if s.HarnessFaults == nil {
+				s.HarnessFaults = make(map[string]int64)
+			}
+			s.HarnessFaults[kind] = n
 		}
 	}
-	if len(faults) > 0 {
-		s.HarnessFaults = faults
-	}
-	s.Retries = m.retries.Load()
-	s.RunnerReboots = m.reboots.Load()
-	s.Quarantined = m.quarantined.Load()
-	s.WorkerRestarts = m.workerRestarts.Load()
-	s.WorkerKills = m.workerKills.Load()
-	s.BreakerTrips = m.breakerTrips.Load()
-	s.FramesRejected = m.framesRejected.Load()
-	s.ChaosKills = m.chaosKills.Load()
-	s.ShardsCompleted = m.shardsCompleted.Load()
-	s.PoolDeaths = m.poolDeaths.Load()
-	s.RemoteAttaches = m.remoteAttaches.Load()
-	s.RemoteProbeFails = m.remoteProbeFails.Load()
-	s.RemoteDialTimeouts = m.remoteDialTimeouts.Load()
-	s.DeadlineKills = m.deadlineKills.Load()
-	s.Degradations = m.degradations.Load()
-	s.LeaseReclaims = m.leaseReclaims.Load()
-	s.DupOrdinalsDropped = m.dupOrdinalsDropped.Load()
-	s.BlockCacheHits = m.blockHits.Load()
-	s.BlockCacheMisses = m.blockMisses.Load()
-	s.BlockFlushes = m.blockFlushes.Load()
-	s.BlockFallbacks = m.blockFallbacks.Load()
 	if s.RunsCompleted > 0 {
 		s.ActivationRate = float64(s.Activated) / float64(s.RunsCompleted)
 	}
@@ -416,9 +297,8 @@ func (s Snapshot) Render() string {
 	fmt.Fprintf(&b, "  elapsed            %s\n", s.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  runs started       %d\n", s.RunsStarted)
 	fmt.Fprintf(&b, "  runs completed     %d (%.1f/s)\n", s.RunsCompleted, s.RunsPerSec)
-	if s.Skipped > 0 {
-		fmt.Fprintf(&b, "  skipped (resumed)  %d\n", s.Skipped)
-	}
+	// The first tagged counter, Skipped, sits with the run counts.
+	s.writeCounters(&b, counterLines[:1])
 	fmt.Fprintf(&b, "  activated          %d (%.1f%%)\n", s.Activated, 100*s.ActivationRate)
 	keys := make([]string, 0, len(s.Outcomes))
 	for k := range s.Outcomes {
@@ -444,57 +324,7 @@ func (s Snapshot) Render() string {
 		}
 		fmt.Fprintf(&b, "  harness faults     %d recovered (%s)\n", n, strings.Join(parts, ", "))
 	}
-	if s.Retries > 0 {
-		fmt.Fprintf(&b, "  harness retries    %d\n", s.Retries)
-	}
-	if s.RunnerReboots > 0 {
-		fmt.Fprintf(&b, "  runner reboots     %d\n", s.RunnerReboots)
-	}
-	if s.Quarantined > 0 {
-		fmt.Fprintf(&b, "  quarantined        %d (excluded from analysis)\n", s.Quarantined)
-	}
-	if s.WorkerRestarts > 0 {
-		fmt.Fprintf(&b, "  worker restarts    %d\n", s.WorkerRestarts)
-	}
-	if s.WorkerKills > 0 {
-		fmt.Fprintf(&b, "  worker kills       %d (heartbeat/boot deadline)\n", s.WorkerKills)
-	}
-	if s.BreakerTrips > 0 {
-		fmt.Fprintf(&b, "  breaker trips      %d (targets abandoned to quarantine)\n", s.BreakerTrips)
-	}
-	if s.FramesRejected > 0 {
-		fmt.Fprintf(&b, "  frames rejected    %d\n", s.FramesRejected)
-	}
-	if s.ChaosKills > 0 {
-		fmt.Fprintf(&b, "  chaos kills        %d (fault-injection test wrapper)\n", s.ChaosKills)
-	}
-	if s.ShardsCompleted > 0 {
-		fmt.Fprintf(&b, "  shards completed   %d\n", s.ShardsCompleted)
-	}
-	if s.PoolDeaths > 0 {
-		fmt.Fprintf(&b, "  pool deaths        %d (shards requeued to survivors)\n", s.PoolDeaths)
-	}
-	if s.RemoteAttaches > 0 {
-		fmt.Fprintf(&b, "  remote attaches    %d (TCP workers vetted onto pools)\n", s.RemoteAttaches)
-	}
-	if s.RemoteProbeFails > 0 {
-		fmt.Fprintf(&b, "  remote probe fails %d (dead or skewed connections discarded)\n", s.RemoteProbeFails)
-	}
-	if s.RemoteDialTimeouts > 0 {
-		fmt.Fprintf(&b, "  remote dial t/o    %d (no worker joined within the wait)\n", s.RemoteDialTimeouts)
-	}
-	if s.DeadlineKills > 0 {
-		fmt.Fprintf(&b, "  deadline kills     %d (peers dead mid-frame)\n", s.DeadlineKills)
-	}
-	if s.Degradations > 0 {
-		fmt.Fprintf(&b, "  degradations       %d (remote pools lost; survivors drained the queue)\n", s.Degradations)
-	}
-	if s.LeaseReclaims > 0 {
-		fmt.Fprintf(&b, "  lease reclaims     %d (stale shard leases broken live)\n", s.LeaseReclaims)
-	}
-	if s.DupOrdinalsDropped > 0 {
-		fmt.Fprintf(&b, "  dup ordinals       %d (re-executed shard results deduplicated)\n", s.DupOrdinalsDropped)
-	}
+	s.writeCounters(&b, counterLines[1:])
 	if n := s.BlockCacheHits + s.BlockCacheMisses; n > 0 {
 		fmt.Fprintf(&b, "  block cache        %d hits, %d misses (%.1f%% hit rate)\n",
 			s.BlockCacheHits, s.BlockCacheMisses, 100*float64(s.BlockCacheHits)/float64(n))
@@ -505,6 +335,22 @@ func (s Snapshot) Render() string {
 		fmt.Fprintf(&b, "  journal            %d flushes, %s\n", s.JournalFlushes, fmtBytes(s.JournalBytes))
 	}
 	return b.String()
+}
+
+// writeCounters prints the line of every nonzero counter in lines.
+func (s Snapshot) writeCounters(b *strings.Builder, lines []counterLine) {
+	v := reflect.ValueOf(&s.Counters).Elem()
+	for _, l := range lines {
+		n := v.Field(l.field).Int()
+		if n == 0 {
+			continue
+		}
+		fmt.Fprintf(b, "  %-18s %d", l.label, n)
+		if l.note != "" {
+			fmt.Fprintf(b, " (%s)", l.note)
+		}
+		b.WriteByte('\n')
+	}
 }
 
 func fmtBytes(n int64) string {

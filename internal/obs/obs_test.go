@@ -1,8 +1,13 @@
 package obs
 
 import (
+	"encoding/json"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,13 +24,13 @@ func TestCountersAndSnapshot(t *testing.T) {
 	nm := &inject.Result{Outcome: inject.OutcomeNotManifested, Activated: true}
 	na := &inject.Result{Outcome: inject.OutcomeNotActivated}
 
-	m.RunStarted(0)
+	m.RunsStarted.Add(1)
 	m.RunFinished(0, crash, time.Second)
-	m.RunStarted(1)
+	m.RunsStarted.Add(1)
 	m.RunFinished(1, nm, 500*time.Millisecond)
-	m.RunStarted(0)
+	m.RunsStarted.Add(1)
 	m.RunFinished(0, na, 250*time.Millisecond)
-	m.Skip(3)
+	m.Skipped.Add(3)
 	m.JournalFlush(100)
 	m.JournalFlush(50)
 
@@ -78,10 +83,10 @@ func TestHarnessFaultCounters(t *testing.T) {
 	m.HarnessFault(1, inject.FaultTimeout, time.Millisecond)
 	m.HarnessFault(1, inject.FaultTimeout, time.Millisecond)
 	m.HarnessFault(0, inject.FaultKind("weird"), time.Millisecond)
-	m.Retry()
-	m.RunnerReboot()
-	m.RunnerReboot()
-	m.Quarantined()
+	m.Retries.Add(1)
+	m.RunnerReboots.Add(1)
+	m.RunnerReboots.Add(1)
+	m.Quarantined.Add(1)
 
 	s := m.Snapshot()
 	if got := s.HarnessFaultTotal(); got != 4 {
@@ -110,6 +115,17 @@ func TestHarnessFaultCounters(t *testing.T) {
 		}
 	}
 
+	// worker-death, replay-diverged and arm are declared kinds too:
+	// each counts under its own name, not as "other".
+	named := New(1)
+	for _, k := range []inject.FaultKind{inject.FaultWorkerDeath, inject.FaultReplayDiverged, inject.FaultArm} {
+		named.HarnessFault(0, k, time.Millisecond)
+	}
+	want := map[string]int64{"worker-death": 1, "replay-diverged": 1, "arm": 1}
+	if got := named.Snapshot().HarnessFaults; !reflect.DeepEqual(got, want) {
+		t.Fatalf("faults = %v, want %v", got, want)
+	}
+
 	// A fault-free study keeps the fields out of the trailer JSON.
 	clean := New(1).Snapshot()
 	if clean.HarnessFaults != nil || clean.Quarantined != 0 {
@@ -131,7 +147,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				m.RunStarted(w)
+				m.RunsStarted.Add(1)
 				m.RunFinished(w, res, time.Microsecond)
 				m.JournalFlush(10)
 			}
@@ -148,4 +164,146 @@ func TestNewClampsWorkers(t *testing.T) {
 	if got := len(New(0).Snapshot().Workers); got != 1 {
 		t.Fatalf("workers = %d", got)
 	}
+}
+
+// TestRegistryPinned sets every counter to a distinct nonzero value
+// and checks that Snapshot copies each one, that the snapshot's JSON
+// keys are the ones the journal trailer and the kampaignd status have
+// always carried, and that Render and OneLine print every line as
+// they did when each counter was written out by hand.
+func TestRegistryPinned(t *testing.T) {
+	counters := []struct {
+		key string
+		n   int64
+	}{
+		{"RunsStarted", 40}, {"RunsCompleted", 30}, {"Skipped", 3}, {"Activated", 20},
+		{"JournalFlushes", 5}, {"JournalBytes", 3000},
+		{"Retries", 6}, {"RunnerReboots", 7}, {"Quarantined", 8},
+		{"WorkerRestarts", 9}, {"WorkerKills", 10}, {"BreakerTrips", 11},
+		{"FramesRejected", 12}, {"ChaosKills", 13},
+		{"ShardsCompleted", 14}, {"PoolDeaths", 15},
+		{"RemoteAttaches", 16}, {"RemoteProbeFails", 17}, {"RemoteDialTimeouts", 18},
+		{"DeadlineKills", 19}, {"Degradations", 21}, {"LeaseReclaims", 22},
+		{"DupOrdinalsDropped", 23},
+		{"BlockCacheHits", 900}, {"BlockCacheMisses", 100}, {"BlockFlushes", 24}, {"BlockFallbacks", 25},
+	}
+	m := New(2)
+	base := m.start
+	m.now = func() time.Time { return base.Add(2 * time.Second) }
+	live := reflect.ValueOf(&m.Counters).Elem()
+	if live.NumField() != len(counters) {
+		t.Fatalf("Counters has %d fields, want %d", live.NumField(), len(counters))
+	}
+	for _, c := range counters {
+		f := live.FieldByName(c.key)
+		if !f.IsValid() {
+			t.Fatalf("no counter %s", c.key)
+		}
+		f.Addr().Interface().(*atomic.Int64).Store(c.n)
+	}
+	for o := 1; o < len(m.outcomes); o++ {
+		m.outcomes[o].Store(int64(o))
+	}
+	m.workers[0].runs.Store(20)
+	m.workers[0].busy.Store(int64(1500 * time.Millisecond))
+	m.workers[1].runs.Store(10)
+	m.workers[1].busy.Store(int64(500 * time.Millisecond))
+	for _, k := range []inject.FaultKind{inject.FaultPanic, inject.FaultTimeout, inject.FaultTimeout,
+		inject.FaultHostError, inject.FaultBreakpointIO, "weird"} {
+		m.HarnessFault(0, k, 0)
+	}
+	s := m.Snapshot()
+
+	frozen := reflect.ValueOf(s.Counters)
+	raw, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range counters {
+		if got := frozen.FieldByName(c.key).Int(); got != c.n {
+			t.Errorf("Snapshot %s = %d, want %d", c.key, got, c.n)
+		}
+		if got := string(doc[c.key]); got != strconv.FormatInt(c.n, 10) {
+			t.Errorf("JSON %s = %s, want %d", c.key, got, c.n)
+		}
+	}
+	if got, want := jsonKeys(doc), []string{"Activated", "ActivationRate", "BlockCacheHits",
+		"BlockCacheMisses", "BlockFallbacks", "BlockFlushes", "BreakerTrips", "ChaosKills",
+		"DeadlineKills", "Degradations", "DupOrdinalsDropped", "Elapsed", "FramesRejected",
+		"HarnessFaults", "JournalBytes", "JournalFlushes", "LeaseReclaims", "Outcomes",
+		"PoolDeaths", "Quarantined", "RemoteAttaches", "RemoteDialTimeouts", "RemoteProbeFails",
+		"Retries", "RunnerReboots", "RunsCompleted", "RunsPerSec", "RunsStarted",
+		"ShardsCompleted", "Skipped", "WorkerKills", "WorkerRestarts", "Workers"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("JSON keys = %q\nwant %q", got, want)
+	}
+	raw, err = json.Marshal(New(1).Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc = nil
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := jsonKeys(doc), []string{"Activated", "ActivationRate", "Elapsed", "JournalBytes",
+		"JournalFlushes", "Outcomes", "RunsCompleted", "RunsPerSec", "RunsStarted", "Skipped",
+		"Workers"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("zero snapshot JSON keys = %q\nwant %q", got, want)
+	}
+
+	const render = `metrics:
+  elapsed            2s
+  runs started       40
+  runs completed     30 (15.0/s)
+  skipped (resumed)  3
+  activated          20 (66.7%)
+  outcome crash                  4
+  outcome fail silence violation 3
+  outcome hang                   5
+  outcome not activated          1
+  outcome not manifested         2
+  worker 0           20 runs, busy 1.5s (75% utilization)
+  worker 1           10 runs, busy 500ms (25% utilization)
+  harness faults     6 recovered (breakpoint-io 1, host-error 1, other 1, panic 1, timeout 2)
+  harness retries    6
+  runner reboots     7
+  quarantined        8 (excluded from analysis)
+  worker restarts    9
+  worker kills       10 (heartbeat/boot deadline)
+  breaker trips      11 (targets abandoned to quarantine)
+  frames rejected    12
+  chaos kills        13 (fault-injection test wrapper)
+  shards completed   14
+  pool deaths        15 (shards requeued to survivors)
+  remote attaches    16 (TCP workers vetted onto pools)
+  remote probe fails 17 (dead or skewed connections discarded)
+  remote dial t/o    18 (no worker joined within the wait)
+  deadline kills     19 (peers dead mid-frame)
+  degradations       21 (remote pools lost; survivors drained the queue)
+  lease reclaims     22 (stale shard leases broken live)
+  dup ordinals       23 (re-executed shard results deduplicated)
+  block cache        900 hits, 100 misses (90.0% hit rate)
+  block flushes      24 (code-page invalidations)
+  block fallbacks    25 (single-step dispatches)
+  journal            5 flushes, 2.9 KiB
+`
+	if got := s.Render(); got != render {
+		t.Errorf("Render =\n%s\nwant\n%s", got, render)
+	}
+	const oneLine = "15.0 runs/s, act 67%, skipped 3, 2w util 50%, hfaults 6, quar 8, restarts 9, jrnl 2.9 KiB"
+	if got := s.OneLine(); got != oneLine {
+		t.Errorf("OneLine = %q, want %q", got, oneLine)
+	}
+}
+
+func jsonKeys(doc map[string]json.RawMessage) []string {
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -125,8 +125,9 @@ const (
 // Queue is a durable shard queue. Acquire/Release/Renew/Complete are
 // safe for concurrent use by pool goroutines.
 type Queue struct {
-	// Metrics, when set (before pools start acquiring), receives a
-	// LeaseReclaim count for every stale lease broken live.
+	// Metrics receives a LeaseReclaims count for every stale lease
+	// broken live. Create and Open start it with a private one; replace
+	// it before pools start acquiring.
 	Metrics *obs.Metrics
 
 	mu        sync.Mutex
@@ -186,6 +187,7 @@ func Open(path string, spec wire.StudySpec, shards []Shard) (*Queue, error) {
 
 func newQueue(f *os.File, path string, shards []Shard, doneIDs map[int]bool) *Queue {
 	q := &Queue{
+		Metrics:  obs.New(1),
 		f:        f,
 		path:     path,
 		shards:   shards,
@@ -319,9 +321,7 @@ func (q *Queue) Acquire(pool string) (Shard, bool) {
 			for i := range q.shards {
 				if q.state[i] == stateLeased && !q.leaseExp[i].IsZero() && now.After(q.leaseExp[i]) {
 					q.reclaimed++
-					if q.Metrics != nil {
-						q.Metrics.LeaseReclaim()
-					}
+					q.Metrics.LeaseReclaims.Add(1)
 					return q.leaseLocked(i, pool)
 				}
 			}

@@ -132,7 +132,8 @@ type Config struct {
 	// ChaosMaxDelay bounds the random delay before a chaos kill.
 	ChaosMaxDelay time.Duration
 
-	// Metrics, when set, receives supervisor counters.
+	// Metrics receives supervisor counters (New substitutes a private
+	// one when unset).
 	Metrics *obs.Metrics
 }
 
@@ -243,6 +244,9 @@ func New(cfg Config) *Supervisor {
 	if cfg.ChaosMaxDelay <= 0 {
 		cfg.ChaosMaxDelay = defaultChaosMaxDelay
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.New(1)
+	}
 	seed := cfg.ChaosSeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -303,9 +307,7 @@ func (s *Supervisor) Do(campaign string, ordinal int) (*inject.Result, *inject.H
 		n := s.deaths[key]
 		s.mu.Unlock()
 		if n >= s.cfg.BreakerThreshold {
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.BreakerTrip()
-			}
+			s.cfg.Metrics.BreakerTrips.Add(1)
 			return nil, &inject.HarnessFault{
 				Kind: inject.FaultWorkerDeath,
 				Msg: fmt.Sprintf("circuit breaker open: %d consecutive worker deaths on this target (last: %v)",
@@ -343,35 +345,33 @@ func (s *Supervisor) runOn(w *worker, campaign string, ordinal int) (*inject.Res
 				resetTimer(deadline, s.cfg.HeartbeatTimeout)
 			case wire.TypeResult, wire.TypeFault:
 				if m.Campaign != campaign || m.Ordinal != ordinal {
-					s.frameRejected()
+					s.cfg.Metrics.FramesRejected.Add(1)
 					return nil, nil, fmt.Errorf("supervisor: protocol error: reply for %s/%d, want %s/%d",
 						m.Campaign, m.Ordinal, campaign, ordinal)
 				}
-				if m.Blocks != nil && s.cfg.Metrics != nil {
-					s.cfg.Metrics.BlockStats(m.Blocks.Hits, m.Blocks.Misses, m.Blocks.Flushes, m.Blocks.Fallbacks)
+				if m.Blocks != nil {
+					s.cfg.Metrics.BlockStats(*m.Blocks)
 				}
 				if m.Type == wire.TypeFault {
 					if m.Fault == nil {
-						s.frameRejected()
+						s.cfg.Metrics.FramesRejected.Add(1)
 						return nil, nil, errors.New("supervisor: protocol error: fault frame without fault")
 					}
 					return nil, m.Fault, nil
 				}
 				if m.Result == nil {
-					s.frameRejected()
+					s.cfg.Metrics.FramesRejected.Add(1)
 					return nil, nil, errors.New("supervisor: protocol error: result frame without result")
 				}
 				return m.Result, nil, nil
 			case wire.TypeError:
 				return nil, nil, &fatalError{fmt.Errorf("supervisor: worker error: %s", m.Text)}
 			default:
-				s.frameRejected()
+				s.cfg.Metrics.FramesRejected.Add(1)
 				return nil, nil, fmt.Errorf("supervisor: protocol error: unexpected %q frame", m.Type)
 			}
 		case <-deadline.C:
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.WorkerKill()
-			}
+			s.cfg.Metrics.WorkerKills.Add(1)
 			w.kill()
 			return nil, nil, fmt.Errorf("supervisor: heartbeat deadline %v exceeded; worker killed", s.cfg.HeartbeatTimeout)
 		case <-s.done:
@@ -532,8 +532,8 @@ func (s *Supervisor) start() (*worker, error) {
 			m, err := w.conn.Recv()
 			if err != nil {
 				w.readErr = err
-				if errors.Is(err, wire.ErrRecvTimeout) && s.cfg.Metrics != nil {
-					s.cfg.Metrics.DeadlineKill()
+				if errors.Is(err, wire.ErrRecvTimeout) {
+					s.cfg.Metrics.DeadlineKills.Add(1)
 				}
 				close(w.msgs)
 				w.markDead(err)
@@ -576,14 +576,12 @@ func (s *Supervisor) start() (*worker, error) {
 				s.reap(w)
 				return nil, fmt.Errorf("supervisor: worker boot failed: %s", m.Text)
 			default:
-				s.frameRejected()
+				s.cfg.Metrics.FramesRejected.Add(1)
 				s.reap(w)
 				return nil, &deathError{fmt.Errorf("supervisor: protocol error during boot: unexpected %q frame", m.Type)}
 			}
 		case <-deadline.C:
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.WorkerKill()
-			}
+			s.cfg.Metrics.WorkerKills.Add(1)
 			s.reap(w)
 			return nil, &deathError{fmt.Errorf("supervisor: worker boot exceeded %v of silence; killed", s.cfg.BootTimeout)}
 		case <-s.done:
@@ -654,9 +652,7 @@ func (s *Supervisor) reap(w *worker) {
 // is exhausted: the binary is systemically broken and the campaign
 // must fail loudly instead of flapping forever.
 func (s *Supervisor) abnormalDeath() error {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.WorkerRestart()
-	}
+	s.cfg.Metrics.WorkerRestarts.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFail++
@@ -716,9 +712,7 @@ func (s *Supervisor) maybeChaosKill(w *worker) {
 			return
 		}
 		w.chaos.Store(true)
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.ChaosKill()
-		}
+		s.cfg.Metrics.ChaosKills.Add(1)
 		w.kill()
 	}()
 }
@@ -776,13 +770,6 @@ func (s *Supervisor) Close() {
 		default:
 			return
 		}
-	}
-}
-
-// frameRejected counts one rejected protocol frame.
-func (s *Supervisor) frameRejected() {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.FrameRejected()
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/inject"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -98,6 +99,15 @@ func (b *scriptedWorker) Run(campaign string, ordinal int) (*inject.Result, *inj
 	}, nil, nil
 }
 
+// BlockStatsDelta makes the helper a wire.BlockStatser; only the
+// "blocks" behavior reports nonzero deltas.
+func (b *scriptedWorker) BlockStatsDelta() cpu.BlockStats {
+	if b.behavior != "blocks" {
+		return cpu.BlockStats{}
+	}
+	return cpu.BlockStats{Hits: 10, Misses: 2, Flushes: 1, Fallbacks: 3}
+}
+
 // helperConfig builds a supervisor Config spawning this test binary as
 // the worker with the given scripted behavior.
 func helperConfig(behavior string, env ...string) Config {
@@ -139,6 +149,26 @@ func TestHappyPathAndWorkerFault(t *testing.T) {
 	}
 	if got := s.Restarts(); got != 0 {
 		t.Fatalf("healthy session charged %d restarts", got)
+	}
+}
+
+// The block-engine deltas that result and fault frames carry are
+// summed into the supervisor's metrics.
+func TestBlockDeltasSummed(t *testing.T) {
+	m := obs.New(1)
+	cfg := helperConfig("blocks")
+	cfg.Metrics = m
+	s := New(cfg)
+	defer s.Close()
+	for ord := range 3 {
+		if res, hf, err := s.Do("C", ord); err != nil || hf != nil || res == nil {
+			t.Fatalf("Do(%d): res=%v hf=%v err=%v", ord, res, hf, err)
+		}
+	}
+	snap := m.Snapshot()
+	got := [4]int64{snap.BlockCacheHits, snap.BlockCacheMisses, snap.BlockFlushes, snap.BlockFallbacks}
+	if want := [4]int64{30, 6, 3, 9}; got != want {
+		t.Fatalf("block hits, misses, flushes, fallbacks = %v, want %v", got, want)
 	}
 }
 

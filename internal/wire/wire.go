@@ -46,6 +46,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/frame"
 	"repro/internal/inject"
 )
@@ -126,17 +127,6 @@ type Ready struct {
 	Totals     map[string]int // campaign key -> target count
 }
 
-// BlockDelta carries a worker's superblock-engine counter deltas since
-// its previous reply frame. Observability only — it never affects
-// results, and old supervisors simply ignore the field, so no protocol
-// bump is needed.
-type BlockDelta struct {
-	Hits      uint64 `json:",omitempty"`
-	Misses    uint64 `json:",omitempty"`
-	Flushes   uint64 `json:",omitempty"`
-	Fallbacks uint64 `json:",omitempty"`
-}
-
 // Msg is the on-wire union of all message kinds.
 type Msg struct {
 	Type     string
@@ -147,7 +137,7 @@ type Msg struct {
 	Ordinal  int                  `json:",omitempty"` // run, result, fault
 	Result   *inject.Result       `json:",omitempty"` // result
 	Fault    *inject.HarnessFault `json:",omitempty"` // fault
-	Blocks   *BlockDelta          `json:",omitempty"` // result, fault
+	Blocks   *cpu.BlockStats      `json:",omitempty"` // result, fault
 	Text     string               `json:",omitempty"` // error
 }
 
@@ -342,11 +332,13 @@ type Backend interface {
 }
 
 // BlockStatser is optionally implemented by backends that can report
-// superblock-engine counter deltas; Serve attaches them to result and
-// fault frames so the supervisor can aggregate worker CPU cache
-// behavior into its metrics.
+// superblock-engine counter deltas since their previous reply; Serve
+// attaches them to result and fault frames so the supervisor can
+// aggregate worker CPU cache behavior into its metrics. Observability
+// only — the field never affects results, and old supervisors simply
+// ignore it, so it needs no protocol bump.
 type BlockStatser interface {
-	BlockStatsDelta() BlockDelta
+	BlockStatsDelta() cpu.BlockStats
 }
 
 // ServeFrameTimeout is the mid-frame silence bound a served worker
@@ -425,7 +417,7 @@ func Serve(r io.Reader, w io.Writer, b Backend, beatEvery time.Duration) error {
 			reply.Type, reply.Result = TypeResult, res
 		}
 		if bs, ok := b.(BlockStatser); ok {
-			if d := bs.BlockStatsDelta(); d != (BlockDelta{}) {
+			if d := bs.BlockStatsDelta(); d != (cpu.BlockStats{}) {
 				reply.Blocks = &d
 			}
 		}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/inject"
 )
 
@@ -84,6 +86,28 @@ func TestStudySpecJSONPinned(t *testing.T) {
 		if err := json.Unmarshal(got, &back); err != nil || back != tc.spec {
 			t.Errorf("StudySpec JSON round trip: %+v, %v", back, err)
 		}
+	}
+}
+
+// A reply frame carrying block-engine deltas is pinned byte for byte:
+// these bytes were encoded when the deltas had a wire type of their
+// own, before they became a cpu.BlockStats.
+func TestBlockDeltaFramePinned(t *testing.T) {
+	const want = "800000007b2254797065223a226661756c74222c2243616d706169676e223a2243222c224f7264696e616c223a31332c224661756c74223a7b224b696e64223a2270616e6963222c224d7367223a22626f6f6d227d2c22426c6f636b73223a7b2248697473223a31302c224d6973736573223a322c2246616c6c6261636b73223a337d7db4fe2bd1"
+	msg := &Msg{Type: TypeFault, Campaign: "C", Ordinal: 13,
+		Fault:  &inject.HarnessFault{Kind: inject.FaultPanic, Msg: "boom"},
+		Blocks: &cpu.BlockStats{Hits: 10, Misses: 2, Fallbacks: 3}}
+	var buf bytes.Buffer
+	c := NewConn(&buf, &buf)
+	if err := c.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("frame\n got %s\nwant %s", got, want)
+	}
+	back, err := c.Recv()
+	if err != nil || !reflect.DeepEqual(back, msg) {
+		t.Fatalf("round trip: %+v, %v", back, err)
 	}
 }
 
