@@ -121,7 +121,7 @@ func run(args []string) error {
 	journalPath := fs.String("journal", "", "stream results to this append-only journal")
 	resumePath := fs.String("resume", "", "resume an interrupted study from this journal")
 	runTimeout := fs.Duration("run-timeout", 0, "wall-clock watchdog per injection run (0 = derive from the golden run)")
-	checkpoint := fs.Bool("checkpoint", true, "reuse a machine checkpoint captured at each activation event (a PC's breakpoint, the Nth call of a syscall) across the injections that share it, start each event's first injection from the latest earlier checkpoint instead of from boot state, and answer injections at PCs the golden run never reached from its coverage without running them (results are identical either way)")
+	checkpoint := fs.Bool("checkpoint", true, "reuse a machine checkpoint captured at each activation event (a PC's breakpoint, the Nth call of a syscall) across the injections that share it, start each event's first injection from the latest earlier checkpoint instead of from boot state, and answer from the golden run's coverage, without running them, injections at PCs it never reached and corrupted branches that go the golden way at every golden execution (results are identical either way)")
 	blocks := fs.Bool("blocks", true, "execute via the CPU's superblock trace engine (results are identical either way)")
 	maxRetries := fs.Int("max-retries", core.DefaultMaxRetries, "harness-fault retries before a target is quarantined")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the study to this file")

@@ -78,7 +78,8 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 		{"syscall-checkpoint-s3", "syscall", 3, 0, 0, true, nil}, // 90 of 135 runs replay
 		// The point models against full runs, every function at
 		// -max-targets 2: record runs resume rungs, siblings replay, and
-		// never-reached PCs are synthesized.
+		// never-reached PCs and masked branches are answered from the
+		// golden run.
 		{"bitflip-checkpoint", "bitflip", 1, 2, 0, true, nil},
 		{"burst-checkpoint", "burst", 1, 2, 0, true, nil},
 		{"regflip-checkpoint", "regflip", 1, 2, 0, true, nil},
@@ -121,7 +122,7 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 			// run; these equal it, and the page comparison is relative to
 			// them.
 			sff, sref := ff.M.TakeSnapshot(), ref.M.TakeSnapshot()
-			runs, hangs, jumped, synthesized := 0, 0, 0, 0
+			runs, hangs, jumped, answered := 0, 0, 0, 0
 			for _, c := range s.Cfg.Campaigns {
 				targets, err := s.Targets(c)
 				if err != nil {
@@ -140,10 +141,10 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%v:%d (%s): results differ:\nstudy     %+v\nreference %+v", c, i, tg.Func.Name, got, want)
 					}
-					// A synthesized result runs nothing, so there is no final
-					// state to compare.
-					if ff.LastProvenance() == inject.ProvSynthesized {
-						synthesized++
+					// A result answered from the golden run runs nothing, so
+					// there is no final state to compare.
+					if prov := ff.LastProvenance(); prov == inject.ProvSynthesized || prov == inject.ProvMasked {
+						answered++
 					} else if d := machineDiff(ff.M, ref.M, sff, sref); d != "" {
 						t.Fatalf("%v:%d (%s, %v): final machine states differ in %s", c, i, tg.Func.Name, got.Outcome, d)
 					}
@@ -156,7 +157,7 @@ func TestFastForwardFinalStateOracle(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d runs (%d synthesized), %d hangs, %d jumped", runs, synthesized, hangs, jumped)
+			t.Logf("%d runs (%d answered from the golden run), %d hangs, %d jumped", runs, answered, hangs, jumped)
 			if jumped < tc.minJumped {
 				t.Fatalf("only %d of %d hangs jumped, want at least %d", jumped, hangs, tc.minJumped)
 			}

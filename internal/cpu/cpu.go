@@ -123,8 +123,9 @@ type CPU struct {
 	// Coverage, when set, records the cycle counter at the first start
 	// of an instruction at every EIP, at the debug-register check: after
 	// a run it holds exactly the PCs where an execute breakpoint could
-	// have fired, and when it first could have. Run single-steps while
-	// it is set.
+	// have fired, and when it first could have. At every jcc start it
+	// also records the arithmetic flags the branch sees. Run
+	// single-steps while it is set.
 	Coverage *Coverage
 
 	// Port I/O hooks. OnOut receives OUT writes (console, panic port);
@@ -266,19 +267,70 @@ func (c *CPU) ClearBreakpoint(dr int) { c.DREnabled[dr] = false }
 
 // Coverage is the table of instruction-start addresses in
 // [base, base+size): each started address maps to the cycle counter at
-// its first start.
+// its first start, and each started jcc to the flag combinations it
+// saw.
 type Coverage struct {
 	base, size uint32
 	first      map[uint32]uint64
 	// seen caches addresses already in first, direct-mapped by a hash,
 	// so that most steps of a loop skip the map.
-	seen [1 << 12]uint32
+	seen     [1 << 12]uint32
+	branches map[uint32]FlagCombos
+	// seenBranch caches, the same way, each jcc's set as it stands in
+	// branches, so that a repeated combination skips the map.
+	seenBranch [1 << 12]struct {
+		eip uint32
+		set FlagCombos
+	}
 }
 
 // NewCoverage returns an empty table over [base, base+size).
 func NewCoverage(base, size uint32) *Coverage {
-	return &Coverage{base: base, size: size, first: make(map[uint32]uint64)}
+	return &Coverage{base: base, size: size, first: make(map[uint32]uint64),
+		branches: make(map[uint32]FlagCombos)}
 }
+
+// FlagCombos is a set of combinations of the five arithmetic flags a
+// condition code reads: bit k stands for the combination whose CF, PF,
+// ZF, SF and OF are bits 0 to 4 of k.
+type FlagCombos uint32
+
+// flagCombo returns the combination the flags fl hold.
+func flagCombo(fl uint32) uint {
+	return uint(fl&FlagCF | fl>>1&2 | fl>>4&(4|8) | fl>>7&16)
+}
+
+// comboFlags returns the flags of combination k.
+func comboFlags(k uint) uint32 {
+	f := uint32(k)
+	return f&1 | f&2<<1 | f&(4|8)<<4 | f&16<<7
+}
+
+// Where returns the combinations of s under which condition cc holds.
+func (s FlagCombos) Where(cc ia32.Cond) FlagCombos {
+	var out FlagCombos
+	for k := uint(0); k < 32; k++ {
+		if s&(1<<k) != 0 && condHolds(uint8(cc), comboFlags(k)) {
+			out |= 1 << k
+		}
+	}
+	return out
+}
+
+// markBranch records that the jcc at eip started with the flags fl.
+func (v *Coverage) markBranch(eip, fl uint32) {
+	bit := FlagCombos(1) << flagCombo(fl)
+	e := &v.seenBranch[eip*0x9E3779B1>>20]
+	if e.eip == eip && e.set&bit != 0 || eip-v.base >= v.size {
+		return
+	}
+	e.eip, e.set = eip, v.branches[eip]|bit
+	v.branches[eip] = e.set
+}
+
+// Branch returns the flag combinations the jcc at addr saw at its
+// starts; it is empty when no jcc started there.
+func (v *Coverage) Branch(addr uint32) FlagCombos { return v.branches[addr] }
 
 func (v *Coverage) mark(eip uint32, cycles uint64) {
 	h := eip * 0x9E3779B1 >> 20
@@ -365,22 +417,24 @@ func (c *CPU) Step() error {
 	}
 	gen := c.Mem.CodeGen() + 1
 	e := &c.icache[c.EIP&icacheMask]
-	if e.gen == gen && e.eip == c.EIP {
-		return c.exec(&e.inst)
-	}
-	n, err := c.Mem.Fetch(c.EIP, c.fetch[:])
-	if err != nil {
-		return c.pageFault(err, c.EIP)
-	}
-	inst, derr := ia32.Decode(c.fetch[:n])
-	if derr != nil {
-		if errors.Is(derr, ia32.ErrTruncated) && n < ia32.MaxInstLen {
-			// The instruction extends into an unfetchable page.
-			return &Exception{Vector: VecPF, EIP: c.EIP, Addr: c.EIP + uint32(n)}
+	if e.gen != gen || e.eip != c.EIP {
+		n, err := c.Mem.Fetch(c.EIP, c.fetch[:])
+		if err != nil {
+			return c.pageFault(err, c.EIP)
 		}
-		return &Exception{Vector: VecUD, EIP: c.EIP}
+		inst, derr := ia32.Decode(c.fetch[:n])
+		if derr != nil {
+			if errors.Is(derr, ia32.ErrTruncated) && n < ia32.MaxInstLen {
+				// The instruction extends into an unfetchable page.
+				return &Exception{Vector: VecPF, EIP: c.EIP, Addr: c.EIP + uint32(n)}
+			}
+			return &Exception{Vector: VecUD, EIP: c.EIP}
+		}
+		e.eip, e.gen, e.inst = c.EIP, gen, inst
 	}
-	e.eip, e.gen, e.inst = c.EIP, gen, inst
+	if c.Coverage != nil && e.inst.Op == ia32.OpJcc {
+		c.Coverage.markBranch(c.EIP, c.Eflags)
+	}
 	return c.exec(&e.inst)
 }
 

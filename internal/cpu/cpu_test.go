@@ -578,3 +578,40 @@ jump_to_data:
 		t.Fatalf("exc = %+v, want #PF at data page", exc)
 	}
 }
+
+// TestFlagCombosWhere: a jcc started under Coverage records the
+// combination of its five arithmetic flags whatever the other EFLAGS
+// bits are, and Where(cc) holds that combination exactly when the jcc
+// is taken.
+func TestFlagCombosWhere(t *testing.T) {
+	m := mem.New()
+	m.Map(textBase, 0x1000, mem.PermRX)
+	c := cpu.New(m)
+	arith := []uint32{cpu.FlagCF, cpu.FlagPF, cpu.FlagZF, cpu.FlagSF, cpu.FlagOF}
+	for cc := ia32.Cond(0); cc < 16; cc++ {
+		if err := m.WriteRaw(textBase, []byte{0x70 + byte(cc), 0x10}); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 32; k++ {
+			fl := cpu.FlagIF | cpu.FlagAF | cpu.FlagDF // bits no condition reads
+			for i, f := range arith {
+				if k&(1<<i) != 0 {
+					fl |= f
+				}
+			}
+			cov := cpu.NewCoverage(textBase, 0x1000)
+			c.Coverage, c.EIP, c.Eflags = cov, textBase, fl
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+			taken := c.EIP == textBase+2+0x10
+			set := cov.Branch(textBase)
+			if set != 1<<k {
+				t.Fatalf("j%s under flags %#x recorded %#x, want combination %d", cc, fl, set, k)
+			}
+			if got := set.Where(cc) != 0; got != taken {
+				t.Fatalf("j%s under flags %#x: Where says taken=%v, the CPU took it=%v", cc, fl, got, taken)
+			}
+		}
+	}
+}

@@ -89,30 +89,30 @@ func (c *CPU) flagsSub(a, b, res uint32, w8 bool, borrowIn uint32) {
 }
 
 // condTrue evaluates a condition code against EFLAGS.
-func (c *CPU) condTrue(cc uint8) bool {
+func (c *CPU) condTrue(cc uint8) bool { return condHolds(cc, c.Eflags) }
+
+// condHolds evaluates condition code cc against the flags fl.
+func condHolds(cc uint8, fl uint32) bool {
 	var v bool
 	switch cc >> 1 {
 	case 0: // O
-		v = c.getFlag(FlagOF)
+		v = fl&FlagOF != 0
 	case 1: // B
-		v = c.getFlag(FlagCF)
+		v = fl&FlagCF != 0
 	case 2: // E
-		v = c.getFlag(FlagZF)
+		v = fl&FlagZF != 0
 	case 3: // BE
-		v = c.getFlag(FlagCF) || c.getFlag(FlagZF)
+		v = fl&(FlagCF|FlagZF) != 0
 	case 4: // S
-		v = c.getFlag(FlagSF)
+		v = fl&FlagSF != 0
 	case 5: // P
-		v = c.getFlag(FlagPF)
+		v = fl&FlagPF != 0
 	case 6: // L
-		v = c.getFlag(FlagSF) != c.getFlag(FlagOF)
+		v = (fl&FlagSF != 0) != (fl&FlagOF != 0)
 	case 7: // LE
-		v = c.getFlag(FlagZF) || c.getFlag(FlagSF) != c.getFlag(FlagOF)
+		v = fl&FlagZF != 0 || (fl&FlagSF != 0) != (fl&FlagOF != 0)
 	}
-	if cc&1 != 0 {
-		return !v
-	}
-	return v
+	return v != (cc&1 != 0)
 }
 
 // Lazy flags. A compiled ALU op (compile.go) does not compute the six

@@ -205,7 +205,7 @@ func (atPC) ActivationKey(t Target) ActivationKey {
 
 // --- bitflip: the paper's instruction single-bit flip ---
 
-type bitflipModel struct{ atPC }
+type bitflipModel struct{ instFlip }
 
 func (bitflipModel) Name() string { return ModelBitflip }
 func (bitflipModel) Describe() string {
@@ -231,18 +231,20 @@ func (bitflipModel) Enumerate(ctx EnumContext, c Campaign, rng *rand.Rand) ([]Ta
 	return out, nil
 }
 
-func (bitflipModel) Apply(m *kernel.Machine, t Target) error {
-	return flipInstBits(m, t, 1<<t.Bit)
-}
+// instFlip is embedded by the models that corrupt an instruction byte
+// (bitflip, burst): Apply XORs flipMask into the byte at t.Addr(), and
+// the runner reads the same mask to answer a masked branch.
+type instFlip struct{ atPC }
 
-// flipInstBits XORs mask into the instruction byte at t.Addr(); shared
-// by the bitflip and burst models.
-func flipInstBits(m *kernel.Machine, t Target, mask byte) error {
+// flipMask returns the bits t inverts in its byte.
+func (instFlip) flipMask(t Target) byte { return t.BitMask() }
+
+func (f instFlip) Apply(m *kernel.Machine, t Target) error {
 	b, err := m.Mem.ReadRaw(t.Addr(), 1)
 	if err != nil {
 		return fmt.Errorf("read target byte %#x: %v", t.Addr(), err)
 	}
-	if err := m.Mem.WriteRaw(t.Addr(), []byte{b[0] ^ mask}); err != nil {
+	if err := m.Mem.WriteRaw(t.Addr(), []byte{b[0] ^ f.flipMask(t)}); err != nil {
 		return fmt.Errorf("write target byte %#x: %v", t.Addr(), err)
 	}
 	return nil
@@ -250,7 +252,7 @@ func flipInstBits(m *kernel.Machine, t Target, mask byte) error {
 
 // --- burst: adjacent multi-bit corruption of instruction bytes ---
 
-type burstModel struct{ atPC }
+type burstModel struct{ instFlip }
 
 func (burstModel) Name() string { return ModelBurst }
 func (burstModel) Describe() string {
@@ -292,8 +294,4 @@ func (burstModel) Enumerate(ctx EnumContext, c Campaign, rng *rand.Rand) ([]Targ
 		out = append(out, subsample(ts, ctx.MaxTargetsPerFunc)...)
 	}
 	return out, nil
-}
-
-func (burstModel) Apply(m *kernel.Machine, t Target) error {
-	return flipInstBits(m, t, t.BitMask())
 }

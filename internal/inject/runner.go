@@ -13,7 +13,9 @@ import (
 	"repro/internal/disk"
 	"repro/internal/dump"
 	"repro/internal/ext2"
+	"repro/internal/ia32"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 )
 
 // Result is the record of a single injection experiment.
@@ -110,23 +112,29 @@ type Runner struct {
 	cpReason string
 
 	// checkpointing enables the checkpoint layer: a point-model target
-	// at a PC the golden run never reached is answered from cov; the
-	// first target at each other activation key (its record run) runs
-	// the golden prefix and captures a machine checkpoint at the
-	// activation event (the PC's breakpoint, or the syscall's hook
-	// boundary); later targets with the same key replay from the
-	// checkpoint (activation-to-outcome only). Results are
-	// byte-identical either way.
+	// whose Result the golden run decides (a PC it never reached, or a
+	// masked branch) is answered from cov; the first target at each
+	// other activation key (its record run) runs the golden prefix and
+	// captures a machine checkpoint at the activation event (the PC's
+	// breakpoint, or the syscall's hook boundary); later targets with
+	// the same key replay from the checkpoint (activation-to-outcome
+	// only). Results are byte-identical either way.
 	checkpointing bool
 	// golden is the golden run's op log, recorded when checkpointing is
 	// on: every checkpoint is a position in it.
 	golden *kernel.GoldenLog
 	// cov is the golden run's coverage of kernel text, each started PC
-	// with the cycle of its first start, recorded for point models when
+	// with the cycle of its first start and each started jcc with the
+	// flag combinations it saw, recorded for point models when
 	// checkpointing is on. It is nil when the golden run changed a page
 	// a text window can read, so that a never-run target's windows would
 	// not be the pristine bytes.
 	cov *cpu.Coverage
+	// branchSummary reports that cov's jcc flag combinations decide a
+	// corrupted branch's run: the golden run read no kernel text as
+	// data, host reads included, so a flipped text byte can reach the
+	// run only through the instructions that cover it.
+	branchSummary bool
 	// cps holds the checkpoints of one key group (ActivationKey.Group),
 	// one per key. Targets arrive grouped: the bytes and bits of one
 	// instruction consecutively, in non-decreasing PC order, and a
@@ -267,6 +275,10 @@ const (
 	ProvRecord
 	// ProvRecordRung is a record run resumed from a rung.
 	ProvRecordRung
+	// ProvMasked is a Not Manifested result of a corrupted branch that
+	// takes the golden way at every golden start, answered from golden
+	// coverage without running.
+	ProvMasked
 )
 
 // LastProvenance reports how the last RunTarget produced its result.
@@ -302,6 +314,14 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 		r.goldenSys[nr] = append(r.goldenSys[nr], m.CPU.Cycles)
 		return 0, false
 	}
+	// Watch kernel text: a masked branch needs a golden run that
+	// accesses it only by fetching instructions.
+	textData := false
+	if cov != nil {
+		m.Mem.SetWatch(textBase, textSpan, func(_, _ uint32, acc mem.Access) {
+			textData = textData || acc != mem.AccessExec
+		})
+	}
 	wallStart := time.Now()
 	m.CPU.Coverage = cov
 	var res *kernel.RunResult
@@ -311,6 +331,7 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 		res = m.RunWorkloads(ws, 1<<40)
 	}
 	m.CPU.Coverage = nil
+	m.Mem.ClearWatch()
 	m.SyscallHook = nil
 	if res.Err != nil {
 		return nil, fmt.Errorf("inject: golden run failed: %w", res.Err)
@@ -335,7 +356,7 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 	if !ok {
 		return nil, errors.New("inject: the golden run's page history does not connect to the pristine snapshot")
 	}
-	r.cov = cov
+	r.cov, r.branchSummary = cov, !textData
 	r.goldenPages = make(map[uint32][]byte)
 	for pn := range diff {
 		if pn >= ramdiskFirstPage && pn < ramdiskEndPage {
@@ -374,10 +395,10 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 // Use SafeRunTarget to also isolate Go panics and arm the wall-clock
 // watchdog.
 //
-// With checkpointing enabled (the default), a point-model target at a
-// PC the golden run never reached has its Not Activated result
-// synthesized without running: the run would be the golden run, whose
-// coverage shows the breakpoint cannot fire. The first target at each
+// With checkpointing enabled (the default), a point-model target whose
+// Result the golden run decides is answered without running (fromGolden):
+// a PC the golden run never reached, or a corrupted branch that takes the
+// golden way at every golden start. The first target at each
 // other activation key is a record run: it resumes the rung captured
 // latest before the key's first golden activation (or starts from the
 // pristine snapshot), runs to its activation event and captures a
@@ -393,9 +414,9 @@ func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
 		act, known = r.goldenActivation(t)
 	)
 	if r.checkpointing {
-		if reached, known := r.GoldenReached(t.InstAddr); known && !reached {
-			r.prov = ProvSynthesized
-			return r.synthNotActivated(c, t), nil
+		if res, prov, ok := r.fromGolden(c, t); ok {
+			r.prov = prov
+			return res, nil
 		}
 		key = r.model.ActivationKey(t)
 		r.prov = ProvReplay
@@ -499,19 +520,6 @@ func (r *Runner) cachedCheckpoint(key ActivationKey) *kernel.Checkpoint {
 	return nil
 }
 
-// GoldenReached reports whether the golden run started an instruction
-// at pc; known is false when its coverage cannot tell (checkpointing is
-// off, the model is not a point model, the golden run changed a text
-// page, or pc lies outside kernel text). A point-model target at a
-// known, unreached pc is answered without running.
-func (r *Runner) GoldenReached(pc uint32) (reached, known bool) {
-	if r.cov == nil {
-		return false, false
-	}
-	_, reached, known = r.cov.FirstStart(pc)
-	return reached, known
-}
-
 // pointTarget runs t with a point model's fault applied at its
 // breakpoint PC. A sibling (record false) replays the golden prefix
 // from its checkpoint from and applies the fault on resuming at the
@@ -603,15 +611,114 @@ func (r *Runner) armedTarget(am ArmedModel, c Campaign, t Target, from *kernel.C
 	return res, kcp, r.finishRun(&res, run, t, nil)
 }
 
-// synthNotActivated builds the Not Activated result of a target whose
-// PC the golden run never reached. Activation depends only on whether
-// the breakpoint PC is reached, and the golden run, which changed no
-// text page, already showed it is not; so both windows are the
-// pristine bytes.
-func (r *Runner) synthNotActivated(c Campaign, t Target) Result {
+// fromGolden answers a point-model target from the golden run, with
+// the provenance of the answer; ok is false when the golden run does not
+// decide t's Result, and t must run.
+//
+// A target at a PC the golden run never started is Not Activated.
+// Activation depends only on whether the breakpoint PC is reached, and
+// the golden run, which changed no text page, already showed it is not;
+// so both windows are the pristine bytes.
+//
+// A target that masks its branch (maskedBranch) is Not Manifested, and
+// its run is the golden run, cycle for cycle:
+//   - It starts from the golden state at the PC's first golden start, the
+//     breakpoint's cycle, and its memory then differs from the golden
+//     memory only in the flipped byte.
+//   - Any instruction that does not cover that byte behaves identically
+//     on identical state. No other instruction the golden run started
+//     covers it, and the golden run read no kernel text as data, host
+//     reads included (branchSummary).
+//   - At every start of the PC the state is the golden one. The corrupted
+//     jcc has the same op and length, so it charges the same cycle, and
+//     it moves EIP to the same place: the same direction, and when taken
+//     the same displacement.
+//
+// So its state equals the golden run's until the end: the same trace,
+// the same disk, no text write, and the corrupt window is the pristine
+// one with the flip.
+func (r *Runner) fromGolden(c Campaign, t Target) (res Result, prov Provenance, ok bool) {
+	if r.cov == nil {
+		return res, 0, false
+	}
+	first, started, known := r.cov.FirstStart(t.InstAddr)
+	if !known {
+		return res, 0, false
+	}
 	w := r.pristineWindow(t.InstAddr)
-	return Result{Campaign: c, Target: t, Severity: SeverityNone, Outcome: OutcomeNotActivated,
-		OrigWindow: w, CorruptWindow: bytes.Clone(w)}
+	res = Result{Campaign: c, Target: t, Severity: SeverityNone, OrigWindow: w}
+	if !started {
+		res.Outcome, res.CorruptWindow = OutcomeNotActivated, bytes.Clone(w)
+		return res, ProvSynthesized, true
+	}
+	if res.CorruptWindow, ok = r.maskedBranch(t, w); !ok {
+		return Result{}, 0, false
+	}
+	res.Outcome, res.Activated, res.ActivationCycle = OutcomeNotManifested, true, first
+	return res, ProvMasked, true
+}
+
+// maskedBranch reports whether t, at a PC the golden run started, masks
+// its branch, and returns its corrupt window; w is its pristine window.
+// t must flip bits of an instruction byte, its pristine instruction must
+// be a jcc and its corrupted bytes a jcc of the same length, and either
+//   - only the displacement changed, and the original condition was
+//     false at every golden start of the PC; or
+//   - only the condition changed, and both conditions had the same truth
+//     value at every golden start.
+//
+// The golden run must also have read no kernel text as data, and have
+// started no other instruction that covers the flipped byte.
+func (r *Runner) maskedBranch(t Target, w []byte) ([]byte, bool) {
+	f, flips := r.model.(interface{ flipMask(Target) byte })
+	if !flips || !r.branchSummary || w == nil {
+		return nil, false
+	}
+	orig, err := ia32.Decode(w)
+	if err != nil || orig.Op != ia32.OpJcc || uint(t.ByteOff) >= uint(orig.Len) {
+		return nil, false
+	}
+	corrupt := bytes.Clone(w)
+	corrupt[t.ByteOff] ^= f.flipMask(t)
+	bad, err := ia32.Decode(corrupt)
+	if err != nil || bad.Op != ia32.OpJcc || bad.Len != orig.Len {
+		return nil, false
+	}
+	seen, same := r.cov.Branch(t.InstAddr), false
+	switch {
+	case bad.Cond == orig.Cond: // a new displacement, never taken
+		same = seen.Where(orig.Cond) == 0
+	case bad.Imm == orig.Imm: // a new condition with the same truth
+		same = seen.Where(orig.Cond) == seen.Where(bad.Cond)
+	}
+	// An empty summary would hold every condition false vacuously.
+	if seen == 0 || !same || r.coveredByOther(t.Addr(), t.InstAddr) {
+		return nil, false
+	}
+	return corrupt, true
+}
+
+// coveredByOther reports whether an instruction the golden run started
+// at an address other than pc covers byte a in its pristine decoding,
+// or whether coverage cannot tell.
+func (r *Runner) coveredByOther(a, pc uint32) bool {
+	for s := a - (ia32.MaxInstLen - 1); s != a+1; s++ {
+		_, started, known := r.cov.FirstStart(s)
+		if !known {
+			return true
+		}
+		if s == pc || !started {
+			continue
+		}
+		w := r.pristineWindow(s)
+		if w == nil {
+			return true
+		}
+		if in, err := ia32.Decode(w); err != nil || s+uint32(in.Len) > a {
+			return true
+		}
+	}
+	return false
 }
 
 // pristineWindow returns the windowSize bytes at addr in the pristine

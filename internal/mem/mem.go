@@ -175,13 +175,14 @@ type Memory struct {
 	snapGen uint64
 
 	// watch, when set, observes every access overlapping
-	// [watchAddr, watchAddr+watchLen) (see SetWatch); watchPN is the
-	// page holding that range, which is never cached in the TLB while
-	// the watch is set.
-	watch     func(addr, n uint32, acc Access)
-	watchAddr uint32
-	watchLen  uint32
-	watchPN   uint32
+	// [watchAddr, watchAddr+watchLen) (see SetWatch); the watchPages
+	// pages from watchPN hold that range, and none of them is cached in
+	// the TLB while the watch is set.
+	watch      func(addr, n uint32, acc Access)
+	watchAddr  uint32
+	watchLen   uint32
+	watchPN    uint32
+	watchPages uint32
 }
 
 // New returns an empty address space.
@@ -324,7 +325,7 @@ func (m *Memory) pageFor(addr uint32, acc Access, lo, n uint32) (*page, error) {
 		// TLB way therefore only ever holds private pages.
 		p = m.clonePage(pn, p)
 	}
-	if m.watch != nil && pn == m.watchPN {
+	if m.watch != nil && pn-m.watchPN < m.watchPages {
 		// Never cached: every access to the page comes back here.
 		m.observe(lo, n, acc)
 		return p, nil
@@ -361,15 +362,18 @@ func (m *Memory) lookup(addr uint32, acc Access, lo, n uint32) (*page, error) {
 	return m.pageFor(addr, acc, lo, n)
 }
 
-// SetWatch makes fn observe every access that overlaps [addr, addr+n):
-// CPU-visible reads, writes and fetches as well as the raw host-side
-// accessors. The range must lie within one page. fn receives the
-// whole access range, is called before the access takes effect, and
-// must not access memory itself. While the watch is set its page
-// bypasses the TLB, so every access to it takes the slow path; with no
-// watch set, nothing is checked on any hot path.
+// SetWatch makes fn observe every access that overlaps [addr, addr+n),
+// n > 0: CPU-visible reads, writes and fetches as well as the raw
+// host-side accessors. fn receives the whole access range (a CPU-visible
+// access that spans two watched pages reports it from each), is called
+// before the access takes effect, and must not access memory itself.
+// While the watch is set its pages bypass the TLB, so every access to
+// them takes the slow path; with no watch set, nothing is checked on
+// any hot path.
 func (m *Memory) SetWatch(addr, n uint32, fn func(addr, n uint32, acc Access)) {
-	m.watch, m.watchAddr, m.watchLen, m.watchPN = fn, addr, n, addr>>pageShift
+	m.watch, m.watchAddr, m.watchLen = fn, addr, n
+	m.watchPN = addr >> pageShift
+	m.watchPages = (addr+n-1)>>pageShift - m.watchPN + 1
 	m.flushTLB()
 }
 

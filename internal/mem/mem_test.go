@@ -194,7 +194,8 @@ func TestPermAt(t *testing.T) {
 
 // TestWatch: every access overlapping the watched range reports its
 // whole range, repeated accesses keep reporting (the page never enters
-// the TLB), neighbours stay silent, and ClearWatch ends it.
+// the TLB), neighbours stay silent, ClearWatch ends it, and a range may
+// span pages.
 func TestWatch(t *testing.T) {
 	m := New()
 	m.Map(0x1000, 0x2000, PermRW)
@@ -249,4 +250,15 @@ func TestWatch(t *testing.T) {
 	m.Read32(0x2000)
 	m.Write32(0x2000, 1)
 	expect("cleared")
+	// A range over two pages watches both; an access that spans them
+	// reports from each.
+	m.SetWatch(0x1FFC, 8, func(addr, n uint32, acc Access) { hits = append(hits, hit{addr, n, acc}) })
+	m.Read32(0x1FFC)
+	m.Read32(0x2000)
+	m.Read32(0x1FF8)
+	m.Read32(0x2004)
+	expect("two pages", hit{0x1FFC, 4, AccessRead}, hit{0x2000, 4, AccessRead})
+	m.Write32(0x1FFE, 5)
+	expect("span", hit{0x1FFE, 4, AccessWrite}, hit{0x1FFE, 4, AccessWrite})
+	m.ClearWatch()
 }
