@@ -157,12 +157,12 @@ func TestCheckpointInvalidatedOnNewPC(t *testing.T) {
 }
 
 // TestSyscallCheckpointCensus runs the syscall model's full target list
-// at scales 1 and 3 and counts the targets served from a checkpoint
-// captured at an earlier target's syscall boundary: the three errnos
-// forced at one (nr, N) share it, so two of every three must replay.
-// The cache must only ever hold the current syscall number's
-// checkpoints. The core package's final-state oracle compares these
-// runs with full runs.
+// at scales 1 and 3 and counts the targets the runner resumed from a
+// checkpoint captured at an earlier target's syscall boundary
+// (ProvReplay): the three errnos forced at one (nr, N) share it, so two
+// of every three must replay. The cache must only ever hold the current
+// syscall number's checkpoints. The core package's final-state oracle
+// compares these runs with full runs.
 func TestSyscallCheckpointCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the syscall model's full target list, twice")
@@ -182,18 +182,16 @@ func TestSyscallCheckpointCensus(t *testing.T) {
 		}
 		replayed := 0
 		for i, tg := range targets {
-			key := syscallModel{}.ActivationKey(tg)
-			for _, e := range r.cps {
-				if e.key == key {
-					replayed++
-				}
-			}
 			if _, hf := r.RunTarget(CampaignA, tg); hf != nil {
 				t.Fatalf("scale %d target %d (%s): %v", tc.scale, i, tg.Describe(), hf)
+			}
+			if r.LastProvenance() == ProvReplay {
+				replayed++
 			}
 			if len(r.cps) > 3 {
 				t.Fatalf("scale %d target %d: %d checkpoints cached, want at most 3", tc.scale, i, len(r.cps))
 			}
+			key := syscallModel{}.ActivationKey(tg)
 			for _, e := range r.cps {
 				if e.key.Group != key.Group {
 					t.Fatalf("scale %d target %d: the cache kept syscall %d's checkpoint", tc.scale, i, e.key.Group)
@@ -223,4 +221,100 @@ func TestRecordRunMissingSyscallFaults(t *testing.T) {
 	if hf == nil || hf.Kind != FaultReplayDiverged {
 		t.Fatalf("fault = %v, want %s", hf, FaultReplayDiverged)
 	}
+}
+
+// aliasedPC is a point model whose targets at pc take the activation
+// key of the targets at as, so they resume as's checkpoint.
+type aliasedPC struct {
+	PointModel
+	pc, as uint32
+}
+
+func (a aliasedPC) ActivationKey(t Target) ActivationKey {
+	if t.InstAddr == a.pc {
+		t.InstAddr = a.as
+	}
+	return a.PointModel.ActivationKey(t)
+}
+
+// shiftedSyscall arms every syscall target's fault at occurrence
+// Occurrence+by; its key stays the target's own.
+type shiftedSyscall struct {
+	ArmedModel
+	by int
+}
+
+func (s shiftedSyscall) Arm(m *kernel.Machine, t Target) (*Armed, error) {
+	t.Occurrence = uint64(int(t.Occurrence) + s.by)
+	return s.ArmedModel.Arm(m, t)
+}
+
+// TestRunnerCatchesWrongActivation: the kernel captures wherever a
+// run's breakpoint or hook fires; the runner must check that the
+// capture is the target's own activation. Each case records a real
+// checkpoint first, then swaps the model for one that arms the wrong
+// event, and must end in replay-diverged, never an outcome.
+func TestRunnerCatchesWrongActivation(t *testing.T) {
+	wantDiverged := func(t *testing.T, r *Runner, tg Target, prov Provenance) {
+		t.Helper()
+		_, hf := r.RunTarget(CampaignA, tg)
+		if r.LastProvenance() != prov {
+			t.Fatalf("provenance %d, want %d", r.LastProvenance(), prov)
+		}
+		if hf == nil || hf.Kind != FaultReplayDiverged {
+			t.Fatalf("fault = %v, want %s", hf, FaultReplayDiverged)
+		}
+	}
+	record := func(t *testing.T, r *Runner, tg Target) {
+		t.Helper()
+		_, hf := r.RunTarget(CampaignA, tg)
+		if cp := CachedCheckpoint(r, tg); hf != nil || cp == nil {
+			t.Fatalf("record run of %s: fault %v, checkpoint cached %v", tg.Describe(), hf, cp != nil)
+		}
+	}
+
+	t.Run("sibling-at-a-later-pc", func(t *testing.T) {
+		// The target at a resumes the checkpoint of b, which the golden
+		// run first reaches later: a's breakpoint cannot fire there.
+		r := newModelRunnerT(t, bitflipModel{})
+		fn, _ := r.M.Prog.FuncByName("do_generic_file_read")
+		insts, addrs, err := decodeFunc(r.M.Prog, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := addrs[0], addrs[1]
+		actA, _, _ := r.cov.FirstStart(a)
+		if actB, reached, _ := r.cov.FirstStart(b); !reached || actB <= actA {
+			t.Fatalf("%#x first starts at %d, not after %#x at %d", b, actB, a, actA)
+		}
+		record(t, r, Target{Func: fn, InstAddr: b, InstLen: int(insts[1].Len), Bit: 1})
+		r.model = aliasedPC{PointModel: bitflipModel{}, pc: a, as: b}
+		wantDiverged(t, r, Target{Func: fn, InstAddr: a, InstLen: int(insts[0].Len), Bit: 1}, ProvReplay)
+	})
+
+	write := func(t *testing.T, r *Runner, occ uint64, errno int) Target {
+		t.Helper()
+		f, _ := r.M.Prog.FuncByName("sys_write")
+		if r.GoldenSyscallCounts()[kernel.SysWrite] < 2 {
+			t.Fatal("golden run called write fewer than twice")
+		}
+		return Target{Model: ModelSyscall, Func: f, SysNr: kernel.SysWrite, SysName: "sys_write", Errno: errno, Occurrence: occ}
+	}
+	t.Run("record-run-handles-the-rung", func(t *testing.T) {
+		// Call 2's record run resumes call 1's checkpoint as its rung,
+		// and its hook handles call 1 there: the capture is the rung.
+		r := newModelRunnerT(t, syscallModel{})
+		record(t, r, write(t, r, 1, kernel.EIO))
+		r.model = shiftedSyscall{ArmedModel: syscallModel{}, by: -1}
+		wantDiverged(t, r, write(t, r, 2, kernel.EIO), ProvRecordRung)
+	})
+	t.Run("sibling-hook-declines", func(t *testing.T) {
+		// A sibling at call 1 resumes its own checkpoint, and its hook
+		// declines call 1 there, and every later call: the run is the
+		// golden run to the end and never captures.
+		r := newModelRunnerT(t, syscallModel{})
+		record(t, r, write(t, r, 1, kernel.EIO))
+		r.model = shiftedSyscall{ArmedModel: syscallModel{}, by: int(r.GoldenSyscallCounts()[kernel.SysWrite])}
+		wantDiverged(t, r, write(t, r, 1, kernel.EFAULT), ProvReplay)
+	})
 }

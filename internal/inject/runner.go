@@ -113,12 +113,13 @@ type Runner struct {
 
 	// checkpointing enables the checkpoint layer: a point-model target
 	// whose Result the golden run decides (a PC it never reached, or a
-	// masked branch) is answered from cov; the first target at each
-	// other activation key (its record run) runs the golden prefix and
-	// captures a machine checkpoint at the activation event (the PC's
-	// breakpoint, or the syscall's hook boundary); later targets with
-	// the same key replay from the checkpoint (activation-to-outcome
-	// only). Results are byte-identical either way.
+	// masked branch) is answered from cov; every other target is a
+	// record run, which resumes the nearest checkpoint not past its
+	// activation event (its key's own, else a rung, else the pristine
+	// snapshot) and captures a machine checkpoint at that event (the
+	// PC's breakpoint, or the syscall's hook boundary). A later target
+	// with the same key resumes that checkpoint, so it runs activation
+	// to outcome only. Results are byte-identical either way.
 	checkpointing bool
 	// golden is the golden run's op log, recorded when checkpointing is
 	// on: every checkpoint is a position in it.
@@ -269,7 +270,8 @@ const (
 	// ProvSynthesized is a Not Activated result answered from golden
 	// coverage without running.
 	ProvSynthesized
-	// ProvReplay is a sibling replayed from its key's checkpoint.
+	// ProvReplay is a record run resumed from its key's own checkpoint,
+	// captured by an earlier target: it runs activation to outcome.
 	ProvReplay
 	// ProvRecord is a record run from the pristine snapshot.
 	ProvRecord
@@ -389,8 +391,8 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 // nil *HarnessFault means the Result carries a genuine paper outcome;
 // a non-nil fault means the harness itself failed (the target byte
 // could not be flipped, the wall-clock watchdog fired, the run ended
-// with an unclassifiable host error, or a checkpointed replay
-// diverged) and the Result must be discarded — the machine state is
+// with an unclassifiable host error, or a checkpointed run left its
+// golden path) and the Result must be discarded — the machine state is
 // suspect, so the caller should boot a fresh runner before retrying.
 // Use SafeRunTarget to also isolate Go panics and arm the wall-clock
 // watchdog.
@@ -398,19 +400,18 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 // With checkpointing enabled (the default), a point-model target whose
 // Result the golden run decides is answered without running (fromGolden):
 // a PC the golden run never reached, or a corrupted branch that takes the
-// golden way at every golden start. The first target at each
-// other activation key is a record run: it resumes the rung captured
-// latest before the key's first golden activation (or starts from the
-// pristine snapshot), runs to its activation event and captures a
-// machine checkpoint there; later targets with the same key replay
-// from the checkpoint. Results are byte-identical to full runs in every
-// mode.
+// golden way at every golden start. Every other target runs as a record
+// run: it resumes its key's cached checkpoint, or else the rung captured
+// latest before the key's first golden activation, or else starts from
+// the pristine snapshot, and runs to its activation event, where it
+// captures a machine checkpoint (a run resumed from its key's own
+// checkpoint captures that one) and then applies its fault. Results are
+// byte-identical to full runs in every mode.
 func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
 	r.prov = ProvFull
 	var (
 		key        ActivationKey
-		from       *kernel.Checkpoint // the sibling's checkpoint, or the record run's rung
-		record     bool
+		from       *kernel.Checkpoint // the key's own checkpoint, or a rung below it
 		act, known = r.goldenActivation(t)
 	)
 	if r.checkpointing {
@@ -421,7 +422,7 @@ func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
 		key = r.model.ActivationKey(t)
 		r.prov = ProvReplay
 		if from = r.cachedCheckpoint(key); from == nil {
-			record, r.prov = true, ProvRecord
+			r.prov = ProvRecord
 			if known {
 				from = r.rungBelow(act)
 			}
@@ -430,16 +431,7 @@ func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
 			}
 		}
 	}
-	var (
-		res Result
-		kcp *kernel.Checkpoint
-		hf  *HarnessFault
-	)
-	if am, ok := r.model.(ArmedModel); ok {
-		res, kcp, hf = r.armedTarget(am, c, t, from, record)
-	} else {
-		res, kcp, hf = r.pointTarget(r.model.(PointModel), c, t, from, record)
-	}
+	res, kcp, hf := r.runTarget(c, t, from)
 	switch {
 	case hf != nil:
 	case kcp != nil && known && kcp.Cycles() != act:
@@ -447,9 +439,11 @@ func (r *Runner) RunTarget(c Campaign, t Target) (Result, *HarnessFault) {
 			"the record run captured at cycle %d, the golden run first reaches the activation event at %d",
 			kcp.Cycles(), act)
 	case kcp != nil:
-		r.cps = append(r.cps, cpEntry{key: key, cp: kcp})
-		r.rungs[r.rungBin(kcp.Cycles())] = kcp
-	case record && known && act != never:
+		if kcp != from {
+			r.cps = append(r.cps, cpEntry{key: key, cp: kcp})
+			r.rungs[r.rungBin(kcp.Cycles())] = kcp
+		}
+	case known && act != never:
 		// Until its activation event a run is the golden run, so this
 		// one left its golden path.
 		hf = newFault(FaultReplayDiverged, t,
@@ -520,95 +514,66 @@ func (r *Runner) cachedCheckpoint(key ActivationKey) *kernel.Checkpoint {
 	return nil
 }
 
-// pointTarget runs t with a point model's fault applied at its
-// breakpoint PC. A sibling (record false) replays the golden prefix
-// from its checkpoint from and applies the fault on resuming at the
-// breakpoint. A record run resumes the rung from, or starts from the
-// pristine snapshot when from is nil, and returns the checkpoint
-// captured at the breakpoint. With checkpointing off it runs in full
-// from the pristine snapshot.
-func (r *Runner) pointTarget(pm PointModel, c Campaign, t Target, from *kernel.Checkpoint, record bool) (Result, *kernel.Checkpoint, *HarnessFault) {
-	m := r.M
-	res := Result{Campaign: c, Target: t, Severity: SeverityNone,
-		OrigWindow: r.pristineWindow(t.InstAddr)}
-	var bpFault *HarnessFault
-	apply := func(cycle uint64) {
-		if err := pm.Apply(m, t); err != nil {
-			bpFault = newFault(FaultBreakpointIO, t, "%v", err)
-			return
-		}
-		res.Activated = true
-		res.ActivationCycle = cycle
-	}
-	if from != nil && !record {
-		run := m.RunWorkloadsFromCheckpoint(from, r.Workloads, func(*kernel.Machine) { apply(from.Cycles()) })
-		return res, nil, r.finishRun(&res, run, t, bpFault)
-	}
-
-	var kcp *kernel.Checkpoint
-	m.CPU.OnBreakpoint = func(_ *cpu.CPU, dr int) {
-		if record {
-			// Capture before the flip: the checkpoint is the pristine
-			// at-breakpoint state shared by every sibling target.
-			kcp = m.CaptureCheckpoint()
-		}
-		m.CPU.ClearBreakpoint(dr)
-		apply(m.CPU.Cycles)
-	}
-	arm := func(m *kernel.Machine) { m.CPU.SetBreakpoint(0, t.InstAddr) }
-	if from == nil {
-		m.Restore(r.snap)
-	}
-	var run *kernel.RunResult
-	if record {
-		run = m.RecordWorkloads(r.golden, from, r.Workloads, r.Budget, arm)
-	} else {
-		arm(m)
-		run = m.RunWorkloads(r.Workloads, r.Budget)
-	}
-	m.CPU.OnBreakpoint = nil
-	m.CPU.ClearBreakpoint(0)
-	return res, kcp, r.finishRun(&res, run, t, bpFault)
-}
-
-// armedTarget runs t with an armed model's fault installed before the
-// run (syscall, disk). A sibling (record false) replays the golden
-// prefix from its checkpoint from and resumes live at the activation
-// event, where the model's hook applies the fault. A record run resumes
-// the rung from, or starts from the pristine snapshot when from is nil,
-// and returns the checkpoint captured at the activation event
-// (Armed.OnActivate). With checkpointing off it runs in full from the
-// pristine snapshot.
-func (r *Runner) armedTarget(am ArmedModel, c Campaign, t Target, from *kernel.Checkpoint, record bool) (Result, *kernel.Checkpoint, *HarnessFault) {
+// runTarget runs t from checkpoint from, or from the pristine snapshot
+// when from is nil, with its fault armed: a point model's at a
+// breakpoint at InstAddr, whose hook captures, disarms and applies it;
+// an armed model's by Arm, with OnActivate capturing. With checkpointing
+// on it is a record run and returns its capture; with it off it is a
+// full run.
+func (r *Runner) runTarget(c Campaign, t Target, from *kernel.Checkpoint) (Result, *kernel.Checkpoint, *HarnessFault) {
 	m := r.M
 	res := Result{Campaign: c, Target: t, Severity: SeverityNone}
 	if from == nil {
 		m.Restore(r.snap)
 	}
-	armed, err := am.Arm(m, t)
-	if err != nil {
-		return res, nil, newFault(FaultArm, t, "%v", err)
-	}
-	var kcp *kernel.Checkpoint
-	if record {
+	var (
+		kcp     *kernel.Checkpoint
+		arm     func(*kernel.Machine)
+		armed   *Armed
+		bpFault *HarnessFault
+	)
+	switch model := r.model.(type) {
+	case ArmedModel:
+		var err error
+		if armed, err = model.Arm(m, t); err != nil {
+			return res, nil, newFault(FaultArm, t, "%v", err)
+		}
 		armed.OnActivate = func() { kcp = m.CaptureCheckpoint() }
+	case PointModel:
+		res.OrigWindow = r.pristineWindow(t.InstAddr)
+		m.CPU.OnBreakpoint = func(_ *cpu.CPU, dr int) {
+			// Capture before the flip: the checkpoint is the pristine
+			// at-breakpoint state shared by every sibling target.
+			kcp = m.CaptureCheckpoint()
+			m.CPU.ClearBreakpoint(dr)
+			if err := model.Apply(m, t); err != nil {
+				bpFault = newFault(FaultBreakpointIO, t, "%v", err)
+				return
+			}
+			res.Activated, res.ActivationCycle = true, m.CPU.Cycles
+		}
+		arm = func(m *kernel.Machine) { m.CPU.SetBreakpoint(0, t.InstAddr) }
 	}
 	var run *kernel.RunResult
-	switch {
-	case record:
-		run = m.RecordWorkloads(r.golden, from, r.Workloads, r.Budget, nil)
-	case from != nil:
-		run = m.RunWorkloadsFromCheckpoint(from, r.Workloads, nil)
-	default:
+	if r.checkpointing {
+		run = m.RecordWorkloads(r.golden, from, r.Workloads, r.Budget, arm)
+	} else {
+		if arm != nil {
+			arm(m)
+		}
 		run = m.RunWorkloads(r.Workloads, r.Budget)
 	}
-	if armed.Disarm != nil {
-		armed.Disarm()
+	m.CPU.OnBreakpoint = nil
+	m.CPU.ClearBreakpoint(0)
+	if armed != nil {
+		if armed.Disarm != nil {
+			armed.Disarm()
+		}
+		if armed.Activated != nil {
+			res.Activated, res.ActivationCycle = armed.Activated()
+		}
 	}
-	if armed.Activated != nil {
-		res.Activated, res.ActivationCycle = armed.Activated()
-	}
-	return res, kcp, r.finishRun(&res, run, t, nil)
+	return res, kcp, r.finishRun(&res, run, t, bpFault)
 }
 
 // fromGolden answers a point-model target from the golden run, with
@@ -729,9 +694,9 @@ func (r *Runner) pristineWindow(addr uint32) []byte {
 	return w
 }
 
-// finishRun is the classification tail shared by full, record and
-// replay runs: snapshot the corrupt window, surface harness failures,
-// then map the run result onto a paper outcome.
+// finishRun is the classification tail shared by full and record
+// runs: snapshot the corrupt window, surface harness failures, then map
+// the run result onto a paper outcome.
 func (r *Runner) finishRun(res *Result, run *kernel.RunResult, t Target, bpFault *HarnessFault) *HarnessFault {
 	m := r.M
 	if w, err := m.Mem.ReadRaw(t.InstAddr, windowSize); err == nil {
@@ -740,7 +705,7 @@ func (r *Runner) finishRun(res *Result, run *kernel.RunResult, t Target, bpFault
 
 	// Harness failures are surfaced before any outcome is assigned —
 	// a failed bit flip is not "Not Activated", a watchdog-stopped
-	// run is not a paper Hang, and a diverged replay is not any
+	// run is not a paper Hang, and a diverged record run is not any
 	// outcome at all.
 	if bpFault != nil {
 		return bpFault

@@ -93,10 +93,9 @@ func (m *Machine) RunWorkloads(ws []Workload, cycleBudget uint64) *RunResult {
 	return m.runWorkloads(ws)
 }
 
-// runWorkloads is the engine body shared by RunWorkloads and the
-// replay runs, RunWorkloadsFromCheckpoint and RecordWorkloads (which
-// take CycleLimit from a checkpoint instead of a fresh budget when they
-// resume one).
+// runWorkloads is the engine body shared by RunWorkloads and
+// RecordWorkloads (which takes CycleLimit from a checkpoint instead of
+// a fresh budget when it resumes one).
 func (m *Machine) runWorkloads(ws []Workload) *RunResult {
 	e := &engine{m: m}
 	m.ff = nil
