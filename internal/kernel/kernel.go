@@ -553,12 +553,14 @@ func (m *Machine) Syscall(nr int, args ...uint32) (int32, error) {
 	if m.proof != nil {
 		m.proof.bad = true
 	}
-	if m.rep != nil {
-		if m.rep.atSyscallBoundary() {
-			return m.replaySyscall(nr, a)
+	if r := m.rep; r != nil {
+		if r.atSyscallBoundary() {
+			if err := m.replaySyscall(nr, a); err != nil {
+				return 0, err
+			}
 		}
-		if m.rep.live {
-			m.rep.at = syscallPoint(nr, a)
+		if r.live {
+			r.at = syscallPoint(nr, a)
 		}
 	}
 	if m.SyscallHook != nil {
