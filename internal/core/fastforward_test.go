@@ -25,11 +25,7 @@ func machineDiff(ma, mb *kernel.Machine, sa, sb *kernel.Snapshot) string {
 	case ma.Console.String() != mb.Console.String():
 		return "console"
 	}
-	ca, okA := ma.PagesChangedSince(sa)
-	cb, okB := mb.PagesChangedSince(sb)
-	if !okA || !okB {
-		return "page history"
-	}
+	ca, cb := ma.PagesChangedSince(sa), mb.PagesChangedSince(sb)
 	for pn := range cb {
 		ca[pn] = struct{}{}
 	}

@@ -205,10 +205,12 @@ func TestSyscallCheckpointCensus(t *testing.T) {
 	}
 }
 
-// TestRecordRunMissingSyscallFaults: a syscall record run that never
-// makes call N, although the golden run did, has left its golden path.
-// It must surface as a harness fault, never as a Not Activated result.
-func TestRecordRunMissingSyscallFaults(t *testing.T) {
+// TestSyscallRecordRunOffGoldenLogDiverges: a syscall record run whose
+// machine ops leave the golden log is replay-diverged, never a Not
+// Activated result. With no workload, its first top-level kernel call
+// is not the golden run's, so the kernel's op verification fails it
+// before it could make the call its hook waits for.
+func TestSyscallRecordRunOffGoldenLogDiverges(t *testing.T) {
 	r := newModelRunnerT(t, syscallModel{})
 	fn, _ := r.M.Prog.FuncByName("sys_write")
 	tg := Target{Model: ModelSyscall, Func: fn,
@@ -251,9 +253,11 @@ func (s shiftedSyscall) Arm(m *kernel.Machine, t Target) (*Armed, error) {
 
 // TestRunnerCatchesWrongActivation: the kernel captures wherever a
 // run's breakpoint or hook fires; the runner must check that the
-// capture is the target's own activation. Each case records a real
-// checkpoint first, then swaps the model for one that arms the wrong
-// event, and must end in replay-diverged, never an outcome.
+// capture is the target's own activation, and that a run whose
+// activation the golden run reached captured at all. Each case swaps
+// the model for one that arms the wrong event, all but the last after
+// recording a real checkpoint, and must end in replay-diverged, never
+// an outcome.
 func TestRunnerCatchesWrongActivation(t *testing.T) {
 	wantDiverged := func(t *testing.T, r *Runner, tg Target, prov Provenance) {
 		t.Helper()
@@ -316,5 +320,14 @@ func TestRunnerCatchesWrongActivation(t *testing.T) {
 		record(t, r, write(t, r, 1, kernel.EIO))
 		r.model = shiftedSyscall{ArmedModel: syscallModel{}, by: int(r.GoldenSyscallCounts()[kernel.SysWrite])}
 		wantDiverged(t, r, write(t, r, 1, kernel.EFAULT), ProvReplay)
+	})
+	t.Run("record-run-hook-never-fires", func(t *testing.T) {
+		// A record run from the pristine snapshot whose hook waits for a
+		// write past the golden run's last: the run is the golden run to
+		// the end, every op verified, and never captures, although the
+		// golden run reached its target's call.
+		r := newModelRunnerT(t, syscallModel{})
+		r.model = shiftedSyscall{ArmedModel: syscallModel{}, by: int(r.GoldenSyscallCounts()[kernel.SysWrite])}
+		wantDiverged(t, r, write(t, r, 1, kernel.EIO), ProvRecord)
 	})
 }

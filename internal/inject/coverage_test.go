@@ -74,10 +74,12 @@ func TestCoverageMatchesBreakpoints(t *testing.T) {
 	}
 }
 
-// TestRecordRunMissingReachedPCFaults: a record run whose breakpoint
-// never fires at a PC the golden run reached has left its golden path.
-// It must surface as a harness fault, never as a Not Activated result.
-func TestRecordRunMissingReachedPCFaults(t *testing.T) {
+// TestPointRecordRunOffGoldenLogDiverges: a point-model record run
+// whose machine ops leave the golden log is replay-diverged, never a
+// Not Activated result. With no workload, its first top-level kernel
+// call is not the golden run's, so the kernel's op verification fails
+// it before its breakpoint could fire.
+func TestPointRecordRunOffGoldenLogDiverges(t *testing.T) {
 	ckpt, _ := newRunnersT(t)
 	fn, _ := ckpt.M.Prog.FuncByName("do_generic_file_read")
 	if _, reached, _ := ckpt.cov.FirstStart(fn.Addr); !reached {

@@ -328,7 +328,7 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 	m.CPU.Coverage = cov
 	var res *kernel.RunResult
 	if r.checkpointing {
-		res, r.golden = m.RecordGolden(r.snap, ws, 1<<40)
+		res, r.golden = m.RecordGolden(ws, 1<<40)
 	} else {
 		res = m.RunWorkloads(ws, 1<<40)
 	}
@@ -354,13 +354,9 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 	// the incremental disk comparison must always revisit those pages.
 	// Intersected with text, it must be empty for a never-run target's
 	// windows to be the pristine bytes.
-	diff, ok := m.PagesChangedSince(r.snap)
-	if !ok {
-		return nil, errors.New("inject: the golden run's page history does not connect to the pristine snapshot")
-	}
 	r.cov, r.branchSummary = cov, !textData
 	r.goldenPages = make(map[uint32][]byte)
-	for pn := range diff {
+	for pn := range m.PagesChangedSince(r.snap) {
 		if pn >= ramdiskFirstPage && pn < ramdiskEndPage {
 			off := (pn - ramdiskFirstPage) * kernel.PageSize
 			r.goldenPages[pn] = bytes.Clone(img[off : off+kernel.PageSize])
@@ -821,15 +817,10 @@ const (
 // diskCandidates returns the ramdisk page numbers where the live disk
 // can differ from the post-golden-run image: the pages touched since
 // the pristine snapshot (by this run or its checkpointed prefix) plus
-// the pages the golden run itself touched. ok=false means the page
-// history is unusable and callers must fall back to whole-image reads.
-func (r *Runner) diskCandidates() (map[uint32]struct{}, bool) {
-	diff, ok := r.M.PagesChangedSince(r.snap)
-	if !ok {
-		return nil, false
-	}
+// the pages the golden run itself touched.
+func (r *Runner) diskCandidates() map[uint32]struct{} {
 	cand := make(map[uint32]struct{}, len(r.goldenPages))
-	for pn := range diff {
+	for pn := range r.M.PagesChangedSince(r.snap) {
 		if pn >= ramdiskFirstPage && pn < ramdiskEndPage {
 			cand[pn] = struct{}{}
 		}
@@ -837,7 +828,7 @@ func (r *Runner) diskCandidates() (map[uint32]struct{}, bool) {
 	for pn := range r.goldenPages {
 		cand[pn] = struct{}{}
 	}
-	return cand, true
+	return cand
 }
 
 // goldenPage returns ramdisk page pn of the post-golden-run image.
@@ -856,18 +847,12 @@ func (r *Runner) diskBufPage(pn uint32) []byte {
 
 // diskChanged reports whether the live ramdisk differs from the
 // post-golden-run image, comparing only the candidate pages instead of
-// hashing the whole disk per run (every ramdisk page when the page
-// history is unusable). An unmapped ramdisk page yields false, matching
-// the historical DiskImage-error path (such runs are caught by severity
-// grading on the trace-mismatch side if anything else diverged).
+// hashing the whole disk per run. An unmapped ramdisk page yields
+// false, matching the historical DiskImage-error path (such runs are
+// caught by severity grading on the trace-mismatch side if anything
+// else diverged).
 func (r *Runner) diskChanged() bool {
-	cand, ok := r.diskCandidates()
-	if !ok {
-		cand = make(map[uint32]struct{}, ramdiskEndPage-ramdiskFirstPage)
-		for pn := ramdiskFirstPage; pn < ramdiskEndPage; pn++ {
-			cand[pn] = struct{}{}
-		}
-	}
+	cand := r.diskCandidates()
 	for pn := range cand {
 		if r.M.Mem.RawPage(pn) == nil {
 			return false
@@ -887,9 +872,8 @@ func (r *Runner) diskChanged() bool {
 // proportional to the pages the run touched, not the disk size. It
 // returns false when a ramdisk page is unmapped (the disk is gone).
 func (r *Runner) refillDiskBuf() bool {
-	cand, ok := r.diskCandidates()
 	switch {
-	case r.diskBuf == nil || r.diskPoisoned || !ok:
+	case r.diskBuf == nil || r.diskPoisoned:
 		if r.diskBuf == nil {
 			r.diskBuf = make([]byte, kernel.RamdiskSize)
 			r.diskTainted = make(map[uint32]struct{})
@@ -905,13 +889,7 @@ func (r *Runner) refillDiskBuf() bool {
 			delete(r.diskTainted, pn)
 		}
 	}
-	if !ok {
-		// Unusable page history: copy the whole guest ramdisk and poison
-		// the buffer so the next call resets it.
-		r.diskPoisoned = true
-		return r.M.DiskImageInto(r.diskBuf) == nil
-	}
-	for pn := range cand {
+	for pn := range r.diskCandidates() {
 		p := r.M.Mem.RawPage(pn)
 		if p == nil {
 			return false

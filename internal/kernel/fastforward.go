@@ -231,7 +231,7 @@ func (f *fastForward) base(m *Machine) *mem.Snapshot {
 // ffCapture takes a proof reference of the current state.
 func (m *Machine) ffCapture() ffState {
 	f := m.ff
-	changed, _ := m.Mem.PagesChangedSince(f.base(m)) // ffSamePages checks ok
+	changed := m.Mem.PagesChangedSince(f.base(m))
 	st := ffState{regs: m.ffRegs(), cycles: m.CPU.Cycles, console: m.Console.Len(), panicCode: m.PanicCode}
 	st.jiffies, _ = m.Mem.Read32(f.jiffies)
 	st.pages = make(map[uint32]ffPage, len(changed))
@@ -257,10 +257,7 @@ func (m *Machine) ffSame(st *ffState, d uint32) bool {
 // written after the reference compares with the arming snapshot.
 func (m *Machine) ffSamePages(st *ffState, d uint32) bool {
 	f := m.ff
-	changed, ok := m.Mem.PagesChangedSince(f.snap)
-	if !ok {
-		return false
-	}
+	changed := m.Mem.PagesChangedSince(f.snap)
 	jpn, joff := f.jiffies>>PageShift, f.jiffies&(PageSize-1)
 	if _, ok := changed[jpn]; !ok && d != 0 {
 		return false

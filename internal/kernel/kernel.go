@@ -341,16 +341,6 @@ func (m *Machine) DiskImage() ([]byte, error) {
 	return m.Mem.ReadRaw(RamdiskBase, RamdiskSize)
 }
 
-// DiskImageInto copies the ramdisk into a caller-owned buffer of
-// exactly RamdiskSize bytes (the per-run fsck path reuses one scratch
-// buffer instead of allocating 2 MiB per injection).
-func (m *Machine) DiskImageInto(out []byte) error {
-	if len(out) != RamdiskSize {
-		return fmt.Errorf("kernel: disk buffer is %d bytes, want %d", len(out), RamdiskSize)
-	}
-	return m.Mem.ReadRawInto(RamdiskBase, out)
-}
-
 // FSCheck runs fsck against the current ramdisk contents.
 func (m *Machine) FSCheck() (*ext2.Report, error) {
 	img, err := m.DiskImage()
@@ -598,12 +588,11 @@ func (s *Snapshot) ReadRaw(addr, size uint32) ([]byte, error) {
 func (s *Snapshot) RawPage(pn uint32) []byte { return s.mem.RawPage(pn) }
 
 // PagesChangedSince returns a conservative superset of the page
-// numbers whose content may differ from the snapshot state, and
-// ok=false when the snapshot's history does not connect to the current
-// state (see mem.PagesChangedSince). The injection runner uses it to
-// compare post-run disk state against the golden image page-by-page
-// instead of copying the whole ramdisk every run.
-func (m *Machine) PagesChangedSince(s *Snapshot) (map[uint32]struct{}, bool) {
+// numbers whose content may differ from the snapshot state (see
+// mem.PagesChangedSince). The injection runner uses it to compare
+// post-run disk state against the golden image page-by-page instead of
+// copying the whole ramdisk every run.
+func (m *Machine) PagesChangedSince(s *Snapshot) map[uint32]struct{} {
 	return m.Mem.PagesChangedSince(s.mem)
 }
 

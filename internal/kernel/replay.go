@@ -52,10 +52,10 @@ import (
 // the caller's to check: the injection runner compares its cycle with
 // the golden run's first activation.
 //
-// Checkpoint memory is a delta over the pristine snapshot: a capture
-// stores only the pages changed since it (mem.TakeDeltaSnapshot), so a
-// capture costs O(changed pages) and a run resumed from a checkpoint
-// does not lengthen the snapshot chain.
+// Checkpoint memory is a delta over the pristine snapshot, the
+// machine's first: like every mem snapshot after the first, a capture
+// stores only the pages changed since it, so it costs O(changed pages)
+// whatever checkpoint the run resumed.
 //
 // The engine is deterministic given identical operation results, so a
 // resumed run is byte-identical to a full run. If that invariant is
@@ -129,15 +129,12 @@ type opSide struct {
 	err error  // error result
 }
 
-// GoldenLog is the golden run's op log: its ops in order, the side
-// table holding their ReadBytes buffers and errors, and the pristine
-// memory snapshot the run started from, which every checkpoint is a
-// delta over. A runner records one and shares it, read-only, with every
-// checkpoint.
+// GoldenLog is the golden run's op log: its ops in order and the side
+// table holding their ReadBytes buffers and errors. A runner records one
+// and shares it, read-only, with every checkpoint.
 type GoldenLog struct {
-	ops   []op
-	side  []opSide
-	start *mem.Snapshot
+	ops  []op
+	side []opSide
 }
 
 func (l *GoldenLog) add(o op, buf []byte, err error) {
@@ -270,7 +267,7 @@ func hashArgs(args []uint32) uint32 {
 type Checkpoint struct {
 	log        *GoldenLog
 	pos        int
-	mem        *mem.Snapshot // a delta over log.start
+	mem        *mem.Snapshot // a delta over the machine's pristine snapshot
 	cpu        cpu.State
 	cycleLimit uint64
 	console    []byte
@@ -283,10 +280,11 @@ type Checkpoint struct {
 func (cp *Checkpoint) Cycles() uint64 { return cp.cpu.Cycles }
 
 // RecordGolden runs the workloads like RunWorkloads and records the
-// golden log of the run. start must be the snapshot of the machine's
-// current state, which every record run from it restores first.
-func (m *Machine) RecordGolden(start *Snapshot, ws []Workload, cycleBudget uint64) (*RunResult, *GoldenLog) {
-	g := &GoldenLog{start: start.mem}
+// golden log of the run. The machine must be in the state every record
+// run without a checkpoint starts from: that of its first snapshot, the
+// pristine one every checkpoint is a delta over.
+func (m *Machine) RecordGolden(ws []Workload, cycleBudget uint64) (*RunResult, *GoldenLog) {
+	g := &GoldenLog{}
 	m.rec = g
 	res := m.RunWorkloads(ws, cycleBudget)
 	m.rec = nil
@@ -318,7 +316,7 @@ func (m *Machine) CaptureCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		log:        r.log,
 		pos:        r.pos,
-		mem:        m.Mem.TakeDeltaSnapshot(r.log.start),
+		mem:        m.Mem.TakeSnapshot(),
 		cpu:        m.CPU.CaptureState(),
 		cycleLimit: m.CycleLimit,
 		console:    append([]byte(nil), m.Console.Bytes()...),

@@ -9,12 +9,13 @@ import (
 
 // Differential oracle for the dirty-set / copy-on-write restore paths:
 // random sequences of Map/Unmap/Protect/writes interleaved with
-// TakeSnapshot, TakeDeltaSnapshot over an earlier snapshot, reads of a
-// snapshot through ReadRaw/RawPage/PermAt, and Restore (of arbitrary,
-// including stale, snapshots) are mirrored against a naive reference implementation that deep-copies
-// the whole address space on every snapshot and rebuilds it structurally
-// on every restore. Any divergence in page existence, permissions,
-// content, or visible read/write results is a bug in the fast paths.
+// TakeSnapshot (the root, then deltas over it), reads of a snapshot
+// through ReadRaw/RawPage/PermAt, and Restore (of arbitrary, including
+// stale, snapshots) are mirrored against a naive reference
+// implementation that deep-copies the whole address space on every
+// snapshot and rebuilds it structurally on every restore. Any
+// divergence in page existence, permissions, content, or visible
+// read/write results is a bug in the fast paths.
 
 // refMem is the reference model: value-semantics pages, no sharing, no
 // dirty tracking.
@@ -211,18 +212,10 @@ func fuzzStep(t *testing.T, rng *rand.Rand, m *Memory, r *refMem,
 			t.Fatalf("step %d: Read8(%#x): fast=%#x ref=%#x", step, addr, v1, v2)
 		}
 		return fmt.Sprintf("Read8(%#x)", addr)
-	case op < 80: // TakeSnapshot
+	case op < 86: // TakeSnapshot: the root first, a delta over it after
 		*snaps = append(*snaps, m.TakeSnapshot())
 		*refSnaps = append(*refSnaps, r.snapshot())
 		return "TakeSnapshot"
-	case op < 86: // TakeDeltaSnapshot over a random earlier snapshot
-		if len(*snaps) == 0 {
-			return "TakeDeltaSnapshot(skipped: none)"
-		}
-		i := rng.Intn(len(*snaps))
-		*snaps = append(*snaps, m.TakeDeltaSnapshot((*snaps)[i]))
-		*refSnaps = append(*refSnaps, r.snapshot())
-		return fmt.Sprintf("TakeDeltaSnapshot(over snapshot %d of %d)", i, len(*snaps)-1)
 	case op < 90: // read a random snapshot without restoring it
 		if len(*snaps) == 0 {
 			return "ReadSnapshot(skipped: none)"

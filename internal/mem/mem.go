@@ -6,17 +6,15 @@
 //
 // The package also supports cheap snapshot/restore: the injection harness
 // resets the machine to a pristine state between experiments (the paper
-// rebooted the physical machine instead). Snapshots are generation-tagged
-// and copy-on-write: TakeSnapshot shares the current pages read-only
-// instead of deep-copying them, so many snapshots (the pristine boot
-// image plus per-target checkpoints) coexist cheaply. A delta snapshot
-// (TakeDeltaSnapshot) goes further: it stores only the pages that
-// changed since a base snapshot and reads every other page through it.
-// Restoring the most recent snapshot costs one page-table repoint per
-// page touched since it was taken; restoring an older ("stale")
-// snapshot walks the snapshot parent chain and is exactly as correct,
-// just proportional to all pages touched since the two histories
-// diverged.
+// rebooted the physical machine instead). Snapshots are copy-on-write:
+// a Memory's first snapshot is its root, which shares every mapped page
+// read-only instead of deep-copying it, and every later snapshot is a
+// delta over the root that stores only the pages that may differ from
+// it and reads every other page through it. So many snapshots (the
+// pristine boot image, per-target checkpoints) coexist cheaply. Restoring
+// the most recently taken or restored snapshot costs one page-table
+// repoint per page touched since; restoring any other one also repoints
+// the pages of both snapshots' deltas.
 //
 // The per-access hot path goes through a small software TLB: a
 // direct-mapped cache of recent page translations, kept per access kind
@@ -139,10 +137,6 @@ type Memory struct {
 	// particular across a snapshot/restore cycle that dirtied only data
 	// pages.
 	codeGen uint64
-	// codeDirty records that executable content changed since the last
-	// snapshot or restore, so the next Restore (which rolls the change
-	// back) must bump codeGen once more.
-	codeDirty bool
 
 	// codePageGen records, per page, the codeGen value at which that
 	// page's executable content last changed (see CodePageGen). It lets
@@ -153,14 +147,10 @@ type Memory struct {
 	// page's entry here, so decoded blocks on every other page survive
 	// the whole run.
 	codePageGen map[uint32]uint64
-	// codeDirtyPages mirrors codeDirty at page granularity: the exec
-	// pages changed since the last snapshot boundary, i.e. exactly the
-	// pages whose executable content the next Restore rolls back.
+	// codeDirtyPages holds the pages whose executable content changed
+	// since the last snapshot or restore: a restore rolls those changes
+	// back, so it must bump codeGen once more and re-stamp them.
 	codeDirtyPages map[uint32]struct{}
-	// codeAllGen is a floor for CodePageGen: restores whose page-level
-	// history is unknown (rebuildFrom) raise it to invalidate every
-	// page at once.
-	codeAllGen uint64
 
 	// tlb is the software TLB, one direct-mapped way per access kind
 	// (AccessRead/AccessWrite/AccessExec). tlbGen validates entries;
@@ -168,11 +158,11 @@ type Memory struct {
 	tlb    [3][tlbSize]tlbEntry
 	tlbGen uint32
 
-	// base is the snapshot the dirty set is relative to (the most
-	// recently taken or restored snapshot), nil before the first
-	// TakeSnapshot. snapGen numbers snapshots in creation order.
-	base    *Snapshot
-	snapGen uint64
+	// root is the first snapshot taken, which every later one is a
+	// delta over; base is the snapshot the dirty set is relative to (the
+	// most recently taken or restored one). Both are nil before the
+	// first TakeSnapshot.
+	root, base *Snapshot
 
 	// watch, when set, observes every access overlapping
 	// [watchAddr, watchAddr+watchLen) (see SetWatch); the watchPages
@@ -209,10 +199,9 @@ func (m *Memory) flushTLB() {
 
 // noteCodeChange records a change to executable content on page pn:
 // decode caches become stale now (codeGen) and again when Restore
-// rolls the change back (codeDirty / codeDirtyPages).
+// rolls the change back (codeDirtyPages).
 func (m *Memory) noteCodeChange(pn uint32) {
 	m.codeGen++
-	m.codeDirty = true
 	m.codePageGen[pn] = m.codeGen
 	m.codeDirtyPages[pn] = struct{}{}
 }
@@ -729,37 +718,27 @@ func (m *Memory) WriteRaw(addr uint32, b []byte) error {
 
 // ReadRaw reads ignoring permissions. The pages must be mapped.
 func (m *Memory) ReadRaw(addr, size uint32) ([]byte, error) {
-	out := make([]byte, size)
-	if err := m.ReadRawInto(addr, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadRawInto is ReadRaw into a caller-owned buffer, for hot paths
-// that read large regions (the ramdisk) once per injection run and
-// would otherwise pay a fresh multi-megabyte allocation each time.
-func (m *Memory) ReadRawInto(addr uint32, out []byte) error {
 	if m.watch != nil {
-		m.observe(addr, uint32(len(out)), AccessRead)
+		m.observe(addr, size, AccessRead)
 	}
-	return readRaw(func(pn uint32) (*page, bool) { p, ok := m.pages[pn]; return p, ok }, addr, out)
+	return readRaw(func(pn uint32) (*page, bool) { p, ok := m.pages[pn]; return p, ok }, addr, size)
 }
 
-// readRaw copies the content at addr of the pages page looks up into
-// out, ignoring permissions.
-func readRaw(page func(pn uint32) (*page, bool), addr uint32, out []byte) error {
+// readRaw returns size bytes at addr of the pages page looks up,
+// ignoring permissions.
+func readRaw(page func(pn uint32) (*page, bool), addr, size uint32) ([]byte, error) {
+	out := make([]byte, size)
 	for i := 0; i < len(out); {
 		a := addr + uint32(i)
 		p, ok := page(a >> pageShift)
 		if !ok {
-			return &Fault{Addr: a, Access: AccessRead, NotPresent: true}
+			return nil, &Fault{Addr: a, Access: AccessRead, NotPresent: true}
 		}
 		off := a & (PageSize - 1)
 		c := copy(out[i:], p.data[off:])
 		i += c
 	}
-	return nil
+	return out, nil
 }
 
 // Snapshot is a point-in-time image of the address space. It shares
@@ -768,52 +747,26 @@ func readRaw(page func(pn uint32) (*page, bool), addr uint32, out []byte) error 
 // the pristine boot image plus per-target checkpoints — costs one page
 // table per snapshot, not one copy of RAM.
 //
-// Snapshots form a chain: each records its parent (the snapshot that
-// was current when it was taken, or a delta's base) and the set of
-// pages that changed since that parent. Restore uses the chain to
-// restore *any* snapshot correctly; restoring the most recent one is
-// the fast path.
+// A Memory's first snapshot is its root and holds every mapped page.
+// Every later one is a delta over the root: it holds only the pages
+// that may differ from the root and reads every other page through it.
 type Snapshot struct {
-	// pages holds every mapped page, or for a delta snapshot only the
-	// mapped pages of sinceParent: a delta reads every other page
-	// through its parent.
+	// pages holds every mapped page of the root, or the mapped pages of
+	// a delta's changed set.
 	pages map[uint32]*page
-	delta bool
-
-	// gen is the creation-order generation tag (1 for the first
-	// snapshot of a Memory). It identifies snapshots in tests and
-	// diagnostics; staleness itself is detected structurally.
-	gen uint64
-
-	// parent is the snapshot that was current when this one was taken
-	// (nil for the first). sinceParent holds the page numbers whose
-	// content, permissions or existence may differ from parent;
-	// codeChangedSinceParent records whether any of those changes
-	// involved executable content, and codePagesSinceParent which pages
-	// they touched (for per-page decode-cache invalidation on restore).
-	parent                 *Snapshot
-	sinceParent            map[uint32]struct{}
-	codeChangedSinceParent bool
-	codePagesSinceParent   map[uint32]struct{}
+	// root is the snapshot a delta reads through, nil for the root
+	// itself. changed holds the page numbers whose content, permissions
+	// or existence may differ from the root; code holds those of them
+	// whose executable content may differ (for per-page decode-cache
+	// invalidation on restore).
+	root          *Snapshot
+	changed, code map[uint32]struct{}
 }
-
-// Gen returns the snapshot's generation tag (creation order, starting
-// at 1 for each Memory).
-func (s *Snapshot) Gen() uint64 { return s.gen }
-
-// Parent returns the snapshot s's recorded changes are relative to: the
-// base of a delta snapshot, or the snapshot that was current when a
-// full one was taken (nil for the first).
-func (s *Snapshot) Parent() *Snapshot { return s.parent }
 
 // ReadRaw returns size bytes at addr as they were when s was taken:
 // what Memory.ReadRaw returns right after restoring s.
 func (s *Snapshot) ReadRaw(addr, size uint32) ([]byte, error) {
-	out := make([]byte, size)
-	if err := readRaw(s.page, addr, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return readRaw(s.page, addr, size)
 }
 
 // RawPage returns the bytes of page pn as they were when s was taken,
@@ -836,223 +789,130 @@ func (s *Snapshot) PermAt(addr uint32) Perm {
 }
 
 // page returns page pn as it was when s was taken; ok is false when it
-// was unmapped. A delta snapshot answers a page outside its changed set
-// from its parent.
+// was unmapped. A delta answers a page outside its changed set from the
+// root.
 func (s *Snapshot) page(pn uint32) (*page, bool) {
-	for s.delta {
-		if _, changed := s.sinceParent[pn]; changed {
-			break
+	if s.root != nil {
+		if _, changed := s.changed[pn]; !changed {
+			s = s.root
 		}
-		s = s.parent
 	}
 	p, ok := s.pages[pn]
 	return p, ok
 }
 
-// allPages returns a page table holding every page of s.
-func (s *Snapshot) allPages() map[uint32]*page {
-	if !s.delta {
-		return maps.Clone(s.pages)
-	}
-	pages := s.parent.allPages()
-	for pn := range s.sinceParent {
-		if p, ok := s.pages[pn]; ok {
-			pages[pn] = p
-		} else {
-			delete(pages, pn)
+// TakeSnapshot captures the current state and resets dirty tracking.
+// No page data is copied: the pages it holds are marked shared
+// (immutable) and later writes clone on demand. The first snapshot of a
+// Memory is its root, which holds every mapped page; every later one
+// is a delta over the root holding the pages that may differ from it
+// (those changed since the last snapshot or restore, and the base's
+// delta), so it costs O(changed pages), not O(mapped pages).
+func (m *Memory) TakeSnapshot() *Snapshot {
+	s := &Snapshot{root: m.root}
+	if m.root == nil {
+		s.pages = maps.Clone(m.pages)
+		m.root = s
+	} else {
+		s.changed = union(m.dirty, m.base.changed)
+		s.code = union(m.codeDirtyPages, m.base.code)
+		s.pages = make(map[uint32]*page, len(s.changed))
+		for pn := range s.changed {
+			if p, ok := m.pages[pn]; ok {
+				s.pages[pn] = p
+			}
 		}
 	}
-	return pages
-}
-
-// TakeSnapshot captures the current state and resets dirty tracking.
-// No page data is copied: the live pages are marked shared (immutable)
-// and later writes clone on demand, so the call is O(mapped pages)
-// pointer work regardless of RAM size.
-func (m *Memory) TakeSnapshot() *Snapshot {
-	pages := make(map[uint32]*page, len(m.pages))
-	for pn, p := range m.pages {
+	for _, p := range s.pages {
 		p.shared = true
 		p.dirty = false
-		pages[pn] = p
 	}
-	m.snapGen++
-	s := &Snapshot{
-		pages:                  pages,
-		gen:                    m.snapGen,
-		parent:                 m.base,
-		sinceParent:            m.dirty,
-		codeChangedSinceParent: m.codeDirty,
-		codePagesSinceParent:   m.codeDirtyPages,
-	}
+	// Fresh maps, not clear(): a cleared map keeps its capacity, and
+	// the root's dirty set holds every page mapped before it, which
+	// every later restore would scan.
 	m.dirty = make(map[uint32]struct{})
-	m.codeDirty = false
 	m.codeDirtyPages = make(map[uint32]struct{})
 	m.base = s
 	m.flushTLB()
 	return s
 }
 
-// TakeDeltaSnapshot captures the current state like TakeSnapshot, but
-// as a delta over base: it stores only the pages that may differ from
-// base (PagesChangedSince) and reads every other page through base,
-// which becomes its parent. It marks only those pages shared (every
-// other page already is), so it costs O(changed pages) instead of
-// O(mapped pages), and a chain of deltas over one base stays one link
-// deep. When base's history does not connect to the current state it
-// falls back to TakeSnapshot.
-func (m *Memory) TakeDeltaSnapshot(base *Snapshot) *Snapshot {
-	diff, code, codePages, ok := m.diffSince(base)
-	if !ok {
-		return m.TakeSnapshot()
-	}
-	pages := make(map[uint32]*page, len(diff))
-	for pn := range diff {
-		if p, ok := m.pages[pn]; ok {
-			p.shared = true
-			p.dirty = false
-			pages[pn] = p
-		}
-	}
-	m.snapGen++
-	s := &Snapshot{
-		pages:                  pages,
-		delta:                  true,
-		gen:                    m.snapGen,
-		parent:                 base,
-		sinceParent:            diff,
-		codeChangedSinceParent: code,
-		codePagesSinceParent:   codePages,
-	}
-	clear(m.dirty)
-	m.codeDirty = false
-	clear(m.codeDirtyPages)
-	m.base = s
-	m.flushTLB()
-	return s
+// union returns a new set holding the members of a and b.
+func union(a, b map[uint32]struct{}) map[uint32]struct{} {
+	u := make(map[uint32]struct{}, len(a)+len(b))
+	maps.Copy(u, a)
+	maps.Copy(u, b)
+	return u
 }
 
-// Restore returns the address space to the snapshot state. Restoring
-// the most recent snapshot (the common case) costs one page-table
-// repoint per page touched since it was taken — including pages
-// mapped, unmapped or reprotected. Restoring an older snapshot is just
-// as correct: the snapshot chain supplies the full set of pages that
-// may differ between the two states, at cost proportional to all pages
-// touched since the histories diverged. codeGen only advances when
-// executable content actually changed relative to the snapshot, so
-// instruction-decode caches survive data-only snapshot/restore cycles.
-func (m *Memory) Restore(s *Snapshot) {
+// since returns the sets whose union holds every page that may differ
+// between the current state and snapshot s, and the sets whose union
+// holds those whose executable content may differ: the changes since
+// the base, and, when s is not the base, both snapshots' deltas over
+// the root. It panics when s is another Memory's snapshot.
+func (m *Memory) since(s *Snapshot) (changed, code [3]map[uint32]struct{}) {
+	changed[0], code[0] = m.dirty, m.codeDirtyPages
 	if s != m.base {
-		m.restoreStale(s)
-		return
+		if m.root == nil || s != m.root && s.root != m.root {
+			panic("mem: a snapshot of another Memory")
+		}
+		changed[1], changed[2] = m.base.changed, s.changed
+		code[1], code[2] = m.base.code, s.code
 	}
-	if m.codeDirty {
+	return changed, code
+}
+
+// Restore returns the address space to the snapshot state, which must
+// be one of m's snapshots. It repoints every page that may differ
+// between the two states (see since) at the snapshot's page, and leaves
+// every other page alone: restoring the base, the most recently taken
+// or restored snapshot, costs one page-table repoint per page touched
+// since — including pages mapped, unmapped or reprotected. codeGen only
+// advances when executable content actually changed relative to the
+// snapshot, so instruction-decode caches survive data-only
+// snapshot/restore cycles.
+func (m *Memory) Restore(s *Snapshot) {
+	changed, code := m.since(s)
+	if len(code[0])+len(code[1])+len(code[2]) > 0 {
+		// The restore rolls back exactly the executable changes in the
+		// code sets: re-stamp those pages (and only those) at the new
+		// generation.
 		m.codeGen++
-		m.codeDirty = false
-		// The restore rolls back exactly the executable changes made
-		// since the snapshot boundary: re-stamp those pages (and only
-		// those) at the new generation.
-		for pn := range m.codeDirtyPages {
-			m.codePageGen[pn] = m.codeGen
+		for _, set := range code {
+			for pn := range set {
+				m.codePageGen[pn] = m.codeGen
+			}
 		}
 		clear(m.codeDirtyPages)
 	}
-	for pn := range m.dirty {
-		if sp, ok := s.page(pn); ok {
-			// sp is still shared and clean: repoint, don't copy.
-			m.pages[pn] = sp
-		} else {
-			// Mapped since the snapshot: remove.
-			delete(m.pages, pn)
-		}
-	}
-	clear(m.dirty)
-	m.flushTLB()
-}
-
-// restoreStale restores a snapshot other than the current base. The
-// pages that may differ between the current state and s are exactly
-// diffSince's; everything outside that set is byte-identical in both
-// states and is left alone.
-func (m *Memory) restoreStale(s *Snapshot) {
-	diff, codeChanged, codePages, ok := m.diffSince(s)
-	if !ok {
-		// The snapshot's history is disconnected from this Memory's
-		// (e.g. it predates everything we have records for). Fall back
-		// to a full structural rebuild — always correct.
-		m.rebuildFrom(s)
-		return
-	}
-	for pn := range diff {
-		if sp, ok := s.page(pn); ok {
-			m.pages[pn] = sp
-		} else {
-			delete(m.pages, pn)
-		}
-	}
-	if codeChanged {
-		m.codeGen++
-		for pn := range codePages {
-			m.codePageGen[pn] = m.codeGen
-		}
-	}
-	m.codeDirty = false
-	clear(m.codeDirtyPages)
-	m.base = s
-	clear(m.dirty)
-	m.flushTLB()
-}
-
-// diffSince returns the pages whose content, permissions or existence
-// may differ between the current state and snapshot s: the pages
-// dirtied since the current base, plus every sinceParent set along both
-// chains from base and from s down to their lowest common ancestor. It
-// also reports whether any of those changes involved executable content
-// and which pages they touched. ok is false when s's history does not
-// connect to this Memory's.
-func (m *Memory) diffSince(s *Snapshot) (diff map[uint32]struct{}, code bool, codePages map[uint32]struct{}, ok bool) {
-	diff = maps.Clone(m.dirty)
-	code, codePages = m.codeDirty, maps.Clone(m.codeDirtyPages)
-	add := func(a *Snapshot) {
-		for pn := range a.sinceParent {
-			diff[pn] = struct{}{}
-		}
-		code = code || a.codeChangedSinceParent
-		for pn := range a.codePagesSinceParent {
-			codePages[pn] = struct{}{}
-		}
-	}
-	if s == m.base {
-		return diff, code, codePages, true
-	}
-	anc := make(map[*Snapshot]bool)
-	for a := s; a != nil; a = a.parent {
-		anc[a] = true
-	}
-	for a := m.base; a != nil; a = a.parent {
-		if anc[a] {
-			for b := s; b != a; b = b.parent {
-				add(b)
+	for _, set := range changed {
+		for pn := range set {
+			if sp, ok := s.page(pn); ok {
+				// sp is still shared and clean: repoint, don't copy.
+				m.pages[pn] = sp
+			} else {
+				// Mapped since the snapshot: remove.
+				delete(m.pages, pn)
 			}
-			return diff, code, codePages, true
 		}
-		add(a)
 	}
-	return nil, false, nil, false
+	clear(m.dirty)
+	m.base = s
+	m.flushTLB()
 }
 
 // PagesChangedSince returns the set of page numbers whose content,
 // permissions or existence may differ between the current state and
-// snapshot s — a conservative superset, computed from the same dirty
-// sets and snapshot-chain deltas that restoreStale walks, without
-// touching any page data. ok is false when s's history does not
-// connect to this Memory's (the caller must assume everything
-// changed). Incremental consumers — the injection runner's disk-state
-// comparison — use it to look at only the pages a run touched instead
-// of re-reading multi-megabyte regions every run.
-func (m *Memory) PagesChangedSince(s *Snapshot) (map[uint32]struct{}, bool) {
-	diff, _, _, ok := m.diffSince(s)
-	return diff, ok
+// snapshot s — a conservative superset, the same pages Restore would
+// repoint, computed without touching any page data. Incremental
+// consumers — the injection runner's disk-state comparison — use it to
+// look at only the pages a run touched instead of re-reading
+// multi-megabyte regions every run.
+func (m *Memory) PagesChangedSince(s *Snapshot) map[uint32]struct{} {
+	changed, _ := m.since(s)
+	diff := union(changed[0], changed[1])
+	maps.Copy(diff, changed[2])
+	return diff
 }
 
 // DirtyCount returns the number of pages whose content, permissions or
@@ -1074,22 +934,6 @@ func (m *Memory) RawPage(pn uint32) []byte {
 	return nil
 }
 
-// rebuildFrom replaces the whole page table with the snapshot's. It is
-// the unconditionally-correct fallback for snapshots whose chain does
-// not connect to the current base.
-func (m *Memory) rebuildFrom(s *Snapshot) {
-	m.pages = s.allPages()
-	m.dirty = make(map[uint32]struct{})
-	m.codeGen++
-	// The page-level history does not connect either: invalidate every
-	// page's cached decodes by raising the floor.
-	m.codeAllGen = m.codeGen
-	m.codeDirty = false
-	clear(m.codeDirtyPages)
-	m.base = s
-	m.flushTLB()
-}
-
 // PageCount returns the number of mapped pages.
 func (m *Memory) PageCount() int { return len(m.pages) }
 
@@ -1103,10 +947,4 @@ func (m *Memory) CodeGen() uint64 { return m.codeGen }
 // cache entry built when CodeGen() was g is still valid — even after
 // later CodeGen bumps — as long as CodePageGen(pn) <= g for every page
 // it decodes from: the bumps happened on other pages.
-func (m *Memory) CodePageGen(pn uint32) uint64 {
-	g := m.codePageGen[pn]
-	if g < m.codeAllGen {
-		g = m.codeAllGen
-	}
-	return g
-}
+func (m *Memory) CodePageGen(pn uint32) uint64 { return m.codePageGen[pn] }

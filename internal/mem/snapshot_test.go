@@ -31,9 +31,6 @@ func TestStaleRestoreSeesOlderWrites(t *testing.T) {
 	if v, _ := m.Read32(0x1000); v != 0x22222222 {
 		t.Fatalf("after restore of s2: got %#x, want 0x22222222", v)
 	}
-	if s1.Gen() >= s2.Gen() {
-		t.Fatalf("generations not increasing: s1=%d s2=%d", s1.Gen(), s2.Gen())
-	}
 }
 
 func TestStaleRestoreUndoesMapAndUnmap(t *testing.T) {
@@ -78,8 +75,8 @@ func TestStaleRestoreUndoesProtectOnly(t *testing.T) {
 
 func TestRestoreAcrossBranchedHistory(t *testing.T) {
 	// A: base state. B: branch one. C: branch two taken after restoring
-	// A. Restoring B afterwards must see B's state exactly (the LCA walk
-	// has to union both branch dirty sets).
+	// A. Restoring B afterwards must see B's state exactly (the restore
+	// has to union both branches' deltas over A).
 	m := New()
 	m.Map(0x1000, 2*PageSize, PermRW)
 	must(t, m.Write8(0x1000, 1))
@@ -218,28 +215,55 @@ func TestStaleRestoreCodeGenInvalidation(t *testing.T) {
 	}
 }
 
-func TestDisconnectedSnapshotFullRebuild(t *testing.T) {
-	// A snapshot whose chain does not connect to the current base (here:
-	// fabricated by clearing the parent links) must still restore
-	// exactly, via the full-rebuild fallback.
+func TestDeltaOverRestoredDeltaKeepsCodePages(t *testing.T) {
+	// D2 is taken on top of a restored D1, which changed a text page; D2
+	// changes only data. D2 still differs from the root in that text
+	// page, so restoring the root from D2 must roll back its executable
+	// content and re-stamp it for the decode caches.
 	m := New()
-	m.Map(0x1000, PageSize, PermRW)
-	must(t, m.Write8(0x1000, 7))
-	s := m.TakeSnapshot()
-	must(t, m.Write8(0x1000, 8))
-	s2 := m.TakeSnapshot()
-	s2.parent = nil // sever the chain
-	m.base = s2
+	m.Map(0x1000, PageSize, PermRX)
+	m.Map(0x2000, PageSize, PermRW)
+	must(t, m.WriteRaw(0x1000, []byte{0x90}))
+	root := m.TakeSnapshot()
 
-	m.Restore(s)
-	if v, _ := m.Read8(0x1000); v != 7 {
-		t.Fatalf("after disconnected restore: got %d, want 7", v)
+	must(t, m.WriteRaw(0x1000, []byte{0xCC}))
+	d1 := m.TakeSnapshot()
+	m.Restore(root)
+	m.Restore(d1)
+	must(t, m.Write8(0x2000, 7))
+	_ = m.TakeSnapshot() // d2
+
+	g := m.CodePageGen(1)
+	m.Restore(root)
+	if m.CodePageGen(1) == g {
+		t.Fatal("restoring the root from a delta over D1 did not re-stamp D1's text page")
 	}
-	// And the Memory must be fully usable afterwards.
-	must(t, m.Write8(0x1000, 9))
-	m.Restore(s)
-	if v, _ := m.Read8(0x1000); v != 7 {
-		t.Fatalf("after second restore: got %d, want 7", v)
+	if b, _ := m.ReadRaw(0x1000, 1); b[0] != 0x90 {
+		t.Fatalf("text after restoring the root: got %#x, want 0x90", b[0])
+	}
+}
+
+func TestRestoreOfAnotherMemorysSnapshotPanics(t *testing.T) {
+	// A snapshot of one Memory must not restore into another, root or
+	// delta, whether or not the other has taken its own root.
+	a, b := New(), New()
+	a.Map(0x1000, PageSize, PermRW)
+	b.Map(0x1000, PageSize, PermRW)
+	foreign := []*Snapshot{a.TakeSnapshot(), a.TakeSnapshot()} // root, delta
+	for _, took := range []bool{false, true} {
+		if took {
+			_ = b.TakeSnapshot()
+		}
+		for i, s := range foreign {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("restoring snapshot %d of another Memory did not panic (own root taken: %v)", i, took)
+					}
+				}()
+				b.Restore(s)
+			}()
+		}
 	}
 }
 
