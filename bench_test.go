@@ -23,7 +23,6 @@ import (
 	"repro/internal/dump"
 	"repro/internal/inject"
 	"repro/internal/kernel"
-	"repro/internal/kernprof"
 	"repro/internal/unixbench"
 )
 
@@ -77,17 +76,18 @@ func BenchmarkFigure1SubsystemSizes(b *testing.B) {
 	b.ReportMetric(float64(total), "text_bytes")
 }
 
-// BenchmarkTable1Profile regenerates the kernel profile and the
-// Table 1 function distribution.
+// BenchmarkTable1Profile regenerates the kernel profile, which a
+// study's set-up derives from its golden pass, and the Table 1 function
+// distribution.
 func BenchmarkTable1Profile(b *testing.B) {
 	var coreN, profiled int
 	for i := 0; i < b.N; i++ {
-		p, err := kernprof.Collect(unixbench.Suite(1), 1<<40, 0)
+		s, err := core.New(core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		coreN = len(p.TopCovering(0.95))
-		profiled = len(p.Funcs)
+		coreN = len(s.Core)
+		profiled = len(s.Profile.Funcs)
 	}
 	b.ReportMetric(float64(profiled), "profiled_funcs")
 	b.ReportMetric(float64(coreN), "core95_funcs")

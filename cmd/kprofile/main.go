@@ -1,6 +1,7 @@
 // Command kprofile profiles the simulated kernel under the UnixBench
-// workloads (the paper's Kernprof step) and prints the profile, the
-// Table 1 function distribution, and the Figure 1 subsystem sizes.
+// workloads (the paper's Kernprof step) and prints the Figure 1
+// subsystem sizes, the profile, and the Table 1 function distribution
+// with its core set.
 //
 // Usage:
 //
@@ -13,9 +14,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/kernel"
-	"repro/internal/kernprof"
-	"repro/internal/unixbench"
 )
 
 func main() {
@@ -34,31 +32,16 @@ func run(args []string) error {
 		return err
 	}
 
-	prog, err := kernel.Assemble()
+	s, err := core.New(core.Config{Scale: *scale, CoverFrac: *cover})
 	if err != nil {
 		return err
 	}
-	fmt.Println(core.RenderSubsystemSizes(prog))
-
-	prof, err := kernprof.Collect(unixbench.Suite(unixbench.Scale(*scale)), 1<<40, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("kernel profile: %d functions, %d samples\n\n", len(prof.Funcs), prof.Total)
-	fmt.Println(prof.Render(*top))
-
-	rows, coreFns := prof.Table1(*cover)
-	fmt.Printf("Table 1: function distribution among kernel subsystems (core = %.0f%% coverage)\n", 100**cover)
-	fmt.Printf("%-10s %20s %14s\n", "Subsystem", "Profiled functions", "In core set")
-	tp, tc := 0, 0
-	for _, r := range rows {
-		fmt.Printf("%-10s %20d %14d\n", r.Section, r.Profiled, r.InCore)
-		tp += r.Profiled
-		tc += r.InCore
-	}
-	fmt.Printf("%-10s %20d %14d\n", "Total", tp, tc)
-	fmt.Printf("\ncore set (%d functions):\n", len(coreFns))
-	for _, f := range coreFns {
+	fmt.Println(s.ReportFigure1())
+	fmt.Printf("kernel profile: %d functions, %d samples\n\n", len(s.Profile.Funcs), s.Profile.Total)
+	fmt.Println(s.Profile.Render(*top))
+	fmt.Println(s.ReportTable1())
+	fmt.Printf("core set (%d functions):\n", len(s.Core))
+	for _, f := range s.Core {
 		fmt.Printf("  %-28s %-8s %6.2f%%\n", f.Name, f.Section, f.Pct)
 	}
 	return nil

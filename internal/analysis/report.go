@@ -7,19 +7,6 @@ import (
 	"repro/internal/inject"
 )
 
-// campaignOf maps a stored key back to a campaign.
-func campaignOf(key string) inject.Campaign {
-	switch key {
-	case "A":
-		return inject.CampaignA
-	case "B":
-		return inject.CampaignB
-	case "C":
-		return inject.CampaignC
-	}
-	return 0
-}
-
 // RenderAll produces the full evaluation report for a stored result
 // set: Figure 4, Figure 6, Figure 7, Figure 8, Table 5 and the case
 // studies — everything derivable from the results alone.
@@ -49,7 +36,7 @@ func RenderAll(rs *ResultSet) string {
 		if len(results) == 0 {
 			continue
 		}
-		c := campaignOf(key)
+		c, _ := CampaignFromKey(key)
 		b.WriteString(RenderOutcomeTable(fmt.Sprintf("Figure 4 — campaign %v", c),
 			OutcomeTable(results)))
 		b.WriteString("\n")
@@ -59,7 +46,7 @@ func RenderAll(rs *ResultSet) string {
 		if len(results) == 0 {
 			continue
 		}
-		c := campaignOf(key)
+		c, _ := CampaignFromKey(key)
 		b.WriteString(RenderCauses(fmt.Sprintf("Figure 6 — campaign %v", c),
 			CrashCauses(results)))
 		b.WriteString("\n")
@@ -69,7 +56,7 @@ func RenderAll(rs *ResultSet) string {
 		if len(results) == 0 {
 			continue
 		}
-		c := campaignOf(key)
+		c, _ := CampaignFromKey(key)
 		b.WriteString(RenderLatency(fmt.Sprintf("Figure 7 — campaign %v", c),
 			Latency(results)))
 		b.WriteString("\n")
@@ -79,7 +66,7 @@ func RenderAll(rs *ResultSet) string {
 		if len(results) == 0 {
 			continue
 		}
-		c := campaignOf(key)
+		c, _ := CampaignFromKey(key)
 		fmt.Fprintf(&b, "Figure 8 — campaign %v\n", c)
 		prop := Propagation(results)
 		for _, sub := range Subsystems {

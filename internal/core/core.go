@@ -1,8 +1,9 @@
 // Package core is the study facade: it wires the profiler, the
 // injector and the analysis layer into the paper's experiment pipeline
-// — profile the kernel under UnixBench, select the most frequently
-// used functions, run the three injection campaigns, and produce every
-// table and figure of the evaluation.
+// — profile the kernel in the golden run of UnixBench, select the most
+// frequently used functions, run the three injection campaigns, and
+// report the set-up (Table 1, Table 2, Figure 1); analysis.RenderAll
+// renders every result table and figure.
 package core
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/asm"
+	"repro/internal/cpu"
 	"repro/internal/inject"
 	"repro/internal/kernel"
 	"repro/internal/kernprof"
@@ -163,7 +165,9 @@ type Study struct {
 	ws []kernel.Workload
 }
 
-// New profiles the kernel and prepares the injection runner.
+// New prepares the injection runner and derives the kernel profile
+// from its golden pass's PC samples: one booted machine, one run of
+// the workloads.
 func New(cfg Config) (*Study, error) {
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
@@ -182,16 +186,9 @@ func New(cfg Config) (*Study, error) {
 		cfg.Campaigns = model.Campaigns()
 	}
 	ws := unixbench.Suite(unixbench.Scale(cfg.Scale))
-
-	prof, err := kernprof.Collect(ws, 1<<40, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: profile: %w", err)
-	}
 	s := &Study{
-		Cfg:     cfg,
-		Profile: prof,
-		Core:    prof.TopCovering(cfg.CoverFrac),
-		Model:   model,
+		Cfg:   cfg,
+		Model: model,
 		Set: &analysis.ResultSet{
 			Version:    analysis.SchemaVersion,
 			Seed:       cfg.Seed,
@@ -206,6 +203,8 @@ func New(cfg Config) (*Study, error) {
 	if s.Runner, err = inject.NewRunnerWithOptions(ws, s.runnerOptions()); err != nil {
 		return nil, fmt.Errorf("core: runner: %w", err)
 	}
+	s.Profile = kernprof.FromSamples(s.Runner.M.Prog, s.Runner.GoldenSamples())
+	s.Core = s.Profile.TopCovering(cfg.CoverFrac)
 	s.selectFunctions()
 	return s, nil
 }
@@ -656,7 +655,8 @@ func (s *Study) ReportTable1() string {
 	rows, coreFns := s.Profile.Table1(s.Cfg.CoverFrac)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: function distribution among kernel subsystems\n")
-	fmt.Fprintf(&b, "%-10s %18s %22s\n", "Subsystem", "Profiled functions", "In core (95%) set")
+	fmt.Fprintf(&b, "%-10s %18s %22s\n", "Subsystem", "Profiled functions",
+		fmt.Sprintf("In core (%.0f%%) set", 100*s.Cfg.CoverFrac))
 	totalProf, totalCore := 0, 0
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-10s %18d %22d\n", r.Section, r.Profiled, r.InCore)
@@ -669,82 +669,10 @@ func (s *Study) ReportTable1() string {
 	return b.String()
 }
 
-// ReportFigure1 renders the subsystem sizes of the mini-kernel.
+// ReportFigure1 renders the size of each kernel subsystem (Figure 1
+// analog: text bytes and function counts of the mini-kernel).
 func (s *Study) ReportFigure1() string {
-	return RenderSubsystemSizes(s.Runner.M.Prog)
-}
-
-// ReportFigure4 renders the outcome tables for every campaign.
-func (s *Study) ReportFigure4() string {
-	var b strings.Builder
-	for _, c := range s.Cfg.Campaigns {
-		rows := analysis.OutcomeTable(s.Results(c))
-		b.WriteString(analysis.RenderOutcomeTable(
-			fmt.Sprintf("Figure 4 — campaign %v", c), rows))
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// ReportFigure6 renders crash-cause distributions per campaign.
-func (s *Study) ReportFigure6() string {
-	var b strings.Builder
-	for _, c := range s.Cfg.Campaigns {
-		causes := analysis.CrashCauses(s.Results(c))
-		b.WriteString(analysis.RenderCauses(
-			fmt.Sprintf("Figure 6 — campaign %v", c), causes))
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// ReportFigure7 renders crash-latency histograms per campaign.
-func (s *Study) ReportFigure7() string {
-	var b strings.Builder
-	for _, c := range s.Cfg.Campaigns {
-		b.WriteString(analysis.RenderLatency(
-			fmt.Sprintf("Figure 7 — campaign %v", c),
-			analysis.Latency(s.Results(c))))
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// ReportFigure8 renders propagation graphs (fs and kernel panels, as
-// in the paper, plus the rest).
-func (s *Study) ReportFigure8() string {
-	var b strings.Builder
-	for _, c := range s.Cfg.Campaigns {
-		prop := analysis.Propagation(s.Results(c))
-		fmt.Fprintf(&b, "Figure 8 — campaign %v\n", c)
-		for _, sub := range analysis.Subsystems {
-			if row := prop[sub]; row != nil {
-				b.WriteString(analysis.RenderPropagation(row))
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// ReportTable5 renders the most-severe crash summary.
-func (s *Study) ReportTable5() string {
-	return analysis.RenderSevere(s.Set.All())
-}
-
-// ReportTable6 renders not-manifested branch case studies.
-func (s *Study) ReportTable6(max int) string {
-	return analysis.RenderTable6(s.Results(inject.CampaignB), max)
-}
-
-// ReportTable7 renders crash case studies per major cause.
-func (s *Study) ReportTable7() string {
-	return analysis.RenderTable7(s.Set.All())
-}
-
-// RenderSubsystemSizes reports the size of each kernel subsystem
-// (Figure 1 analog: text bytes and function counts of the mini-kernel).
-func RenderSubsystemSizes(prog *asm.Program) string {
+	prog := s.Runner.M.Prog
 	var b strings.Builder
 	b.WriteString("Figure 1: size of kernel subsystems\n")
 	fmt.Fprintf(&b, "%-10s %12s %10s\n", "Subsystem", "Text bytes", "Functions")
@@ -764,22 +692,6 @@ func RenderSubsystemSizes(prog *asm.Program) string {
 	return b.String()
 }
 
-// KernelFunctionCount returns the total functions assembled into the
-// four target subsystems.
-func KernelFunctionCount() (int, error) {
-	prog, err := kernel.Assemble()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, f := range prog.Funcs {
-		if isTargetSubsystem(f.Section) {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // ReportTable2 summarizes the experimental setup (the paper's Table 2),
 // with the simulated equivalents of each apparatus column.
 func (s *Study) ReportTable2() string {
@@ -792,7 +704,7 @@ func (s *Study) ReportTable2() string {
 		{"File system", fmt.Sprintf("ext2-lite, %d blocks x %d B ramdisk", kernel.RamdiskBlocks, kernel.PageSize)},
 		{"Crash dump", "host crash handler + register/stack capture (internal/dump)"},
 		{"Workload", fmt.Sprintf("UnixBench-like suite, 8 programs, scale %d", s.Cfg.Scale)},
-		{"Profiling", "PC sampling every 97 cycles (internal/kernprof)"},
+		{"Profiling", fmt.Sprintf("PC sampling every %d cycles (internal/kernprof)", cpu.SamplePeriod)},
 		{"Kernel debug", "AT&T disassembler + symbolized oops (internal/ia32)"},
 		{"Injection tool", "debug-register single-bit injector (internal/inject)"},
 		{"Watchdog", fmt.Sprintf("%d-cycle budget per run", s.Runner.Budget)},

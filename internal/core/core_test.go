@@ -32,11 +32,7 @@ func TestQuickStudyShape(t *testing.T) {
 
 	t.Logf("\n%s", s.ReportTable1())
 	t.Logf("\n%s", s.ReportFigure1())
-	t.Logf("\n%s", s.ReportFigure4())
-	t.Logf("\n%s", s.ReportFigure6())
-	t.Logf("\n%s", s.ReportFigure7())
-	t.Logf("\n%s", s.ReportFigure8())
-	t.Logf("\n%s", s.ReportTable5())
+	t.Logf("\n%s", analysis.RenderAll(s.Set))
 
 	// Campaign function counts mirror the paper's ordering:
 	// A targets the core set; B and C extend to all branchy functions.

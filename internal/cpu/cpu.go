@@ -124,7 +124,8 @@ type CPU struct {
 	// of an instruction at every EIP, at the debug-register check: after
 	// a run it holds exactly the PCs where an execute breakpoint could
 	// have fired, and when it first could have. At every jcc start it
-	// also records the arithmetic flags the branch sees. Run
+	// also records the arithmetic flags the branch sees, and every
+	// SamplePeriod cycles it samples the EIP (the kernel profile). Run
 	// single-steps while it is set.
 	Coverage *Coverage
 
@@ -132,12 +133,6 @@ type CPU struct {
 	// OnIn supplies IN reads. Nil hooks discard writes and read all-ones.
 	OnOut func(port uint16, w8 bool, val uint32)
 	OnIn  func(port uint16, w8 bool) uint32
-
-	// PC sampling (the kernprof substitute): when SampleEvery > 0,
-	// OnSample receives the current EIP every SampleEvery cycles.
-	SampleEvery uint64
-	OnSample    func(eip uint32)
-	nextSample  uint64
 
 	// Stop, when set, is a cooperative stop flag: Run polls it at
 	// entry and every stopPollInterval instructions, returning
@@ -220,7 +215,6 @@ func (c *CPU) Reset() {
 	c.Cycles = 0
 	c.DR = [4]uint32{}
 	c.DREnabled = [4]bool{}
-	c.nextSample = 0
 }
 
 // State is the complete architectural register state of the CPU: what a
@@ -253,7 +247,6 @@ func (c *CPU) RestoreState(s State) {
 	c.Cycles = s.Cycles
 	c.DR = [4]uint32{}
 	c.DREnabled = [4]bool{}
-	c.nextSample = 0
 }
 
 // SetBreakpoint arms debug register dr at addr.
@@ -268,10 +261,13 @@ func (c *CPU) ClearBreakpoint(dr int) { c.DREnabled[dr] = false }
 // Coverage is the table of instruction-start addresses in
 // [base, base+size): each started address maps to the cycle counter at
 // its first start, and each started jcc to the flag combinations it
-// saw.
+// saw. It also counts PC samples at any address: the first start, then
+// the first start at least SamplePeriod cycles after the last sample.
 type Coverage struct {
 	base, size uint32
 	first      map[uint32]uint64
+	samples    map[uint32]uint64
+	nextSample uint64
 	// seen caches addresses already in first, direct-mapped by a hash,
 	// so that most steps of a loop skip the map.
 	seen     [1 << 12]uint32
@@ -287,8 +283,12 @@ type Coverage struct {
 // NewCoverage returns an empty table over [base, base+size).
 func NewCoverage(base, size uint32) *Coverage {
 	return &Coverage{base: base, size: size, first: make(map[uint32]uint64),
-		branches: make(map[uint32]FlagCombos)}
+		samples: make(map[uint32]uint64), branches: make(map[uint32]FlagCombos)}
 }
+
+// SamplePeriod is the PC sampling period in cycles: prime, to avoid
+// beating with loops.
+const SamplePeriod = 97
 
 // FlagCombos is a set of combinations of the five arithmetic flags a
 // condition code reads: bit k stands for the combination whose CF, PF,
@@ -333,6 +333,10 @@ func (v *Coverage) markBranch(eip, fl uint32) {
 func (v *Coverage) Branch(addr uint32) FlagCombos { return v.branches[addr] }
 
 func (v *Coverage) mark(eip uint32, cycles uint64) {
+	if cycles >= v.nextSample {
+		v.samples[eip]++
+		v.nextSample = cycles + SamplePeriod
+	}
 	h := eip * 0x9E3779B1 >> 20
 	if v.seen[h] == eip || eip-v.base >= v.size {
 		return
@@ -353,6 +357,9 @@ func (v *Coverage) FirstStart(addr uint32) (cycle uint64, started, known bool) {
 	cycle, started = v.first[addr]
 	return cycle, started, true
 }
+
+// Samples returns the PC sample count at each sampled address.
+func (v *Coverage) Samples() map[uint32]uint64 { return v.samples }
 
 // StopReason tells why Run returned.
 type StopReason int
@@ -458,9 +465,9 @@ func (c *CPU) pageFault(err error, _ uint32) error {
 //
 // The default execution engine is the superblock loop (block.go); the
 // per-instruction loop remains the reference and handles the cases
-// the block engine conservatively declines: DisableBlocks, PC
-// sampling and coverage recording (whose every-instruction EIP
-// inspection a hoisted check cannot preserve).
+// the block engine conservatively declines: DisableBlocks and coverage
+// recording (whose every-instruction EIP inspection a hoisted check
+// cannot preserve).
 func (c *CPU) Run(budget uint64) (StopReason, *Exception) {
 	// Poll the stop flag once per Run entry so even livelocks made of
 	// many short host calls (each executing fewer than
@@ -469,7 +476,7 @@ func (c *CPU) Run(budget uint64) (StopReason, *Exception) {
 		return StopInterrupted, nil
 	}
 	limit := c.Cycles + budget
-	if !c.DisableBlocks && c.SampleEvery == 0 && c.Coverage == nil {
+	if !c.DisableBlocks && c.Coverage == nil {
 		return c.runBlocks(limit)
 	}
 	return c.runStep(limit)
@@ -487,10 +494,6 @@ func (c *CPU) runStep(limit uint64) (StopReason, *Exception) {
 			if c.Stop != nil && c.Stop.Load() {
 				return StopInterrupted, nil
 			}
-		}
-		if c.SampleEvery > 0 && c.Cycles >= c.nextSample {
-			c.OnSample(c.EIP)
-			c.nextSample = c.Cycles + c.SampleEvery
 		}
 		err := c.Step()
 		if err == nil {

@@ -103,6 +103,9 @@ type Runner struct {
 	// of the syscall error-return model, and the Nth cycle is the first
 	// golden activation of a (number, N) key.
 	goldenSys map[int][]uint64
+	// goldenSamples is the golden run's PC samples, a count per sampled
+	// address: the kernel profile.
+	goldenSamples map[uint32]uint64
 
 	// model is the fault model every target handed to this runner
 	// belongs to (never nil; bitflip by default).
@@ -126,10 +129,10 @@ type Runner struct {
 	golden *kernel.GoldenLog
 	// cov is the golden run's coverage of kernel text, each started PC
 	// with the cycle of its first start and each started jcc with the
-	// flag combinations it saw, recorded for point models when
-	// checkpointing is on. It is nil when the golden run changed a page
-	// a text window can read, so that a never-run target's windows would
-	// not be the pristine bytes.
+	// flag combinations it saw, kept for point models when checkpointing
+	// is on. It is nil when the golden run changed a page a text window
+	// can read, so that a never-run target's windows would not be the
+	// pristine bytes.
 	cov *cpu.Coverage
 	// branchSummary reports that cov's jcc flag combinations decide a
 	// corrupted branch's run: the golden run read no kernel text as
@@ -193,6 +196,10 @@ func (r *Runner) GoldenFingerprint() string { return r.goldenFP }
 // second half of the cross-validation oracle).
 func (r *Runner) GoldenDiskHash() [32]byte { return r.goldenDisk }
 
+// GoldenSamples returns the golden run's PC samples, a count per
+// address sampled every cpu.SamplePeriod cycles: the kernel profile.
+func (r *Runner) GoldenSamples() map[uint32]uint64 { return r.goldenSamples }
+
 // GoldenSyscallCounts returns the golden run's per-syscall invocation
 // counts; the syscall error-return model enumerates its occurrence
 // targets from them.
@@ -238,8 +245,9 @@ const (
 )
 
 // NewRunner boots a machine, performs the golden (fault-free) run to
-// record the reference trace, disk image and text coverage, and
-// prepares the pristine snapshot used between experiments.
+// record the reference trace, disk image, text coverage and kernel
+// profile samples, and prepares the pristine snapshot used between
+// experiments.
 func NewRunner(ws []kernel.Workload) (*Runner, error) {
 	m, err := kernel.Boot()
 	if err != nil {
@@ -301,12 +309,9 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 	r.snap = m.TakeSnapshot()
 	m.CPU.Stop = &r.stop
 	m.CPU.DisableBlocks = opts.NoBlocks
-	// Only point-model targets consult coverage, and recording it
-	// single-steps the golden run.
-	var cov *cpu.Coverage
-	if _, point := model.(PointModel); point && r.checkpointing {
-		cov = cpu.NewCoverage(textBase, textSpan)
-	}
+	// Every golden run records coverage, single-stepped: its PC samples
+	// are the kernel profile.
+	cov := cpu.NewCoverage(textBase, textSpan)
 
 	// Time the golden run's syscalls (their count is the enumeration
 	// space of the syscall error-return model). The observer returns
@@ -319,11 +324,9 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 	// Watch kernel text: a masked branch needs a golden run that
 	// accesses it only by fetching instructions.
 	textData := false
-	if cov != nil {
-		m.Mem.SetWatch(textBase, textSpan, func(_, _ uint32, acc mem.Access) {
-			textData = textData || acc != mem.AccessExec
-		})
-	}
+	m.Mem.SetWatch(textBase, textSpan, func(_, _ uint32, acc mem.Access) {
+		textData = textData || acc != mem.AccessExec
+	})
 	wallStart := time.Now()
 	m.CPU.Coverage = cov
 	var res *kernel.RunResult
@@ -349,12 +352,18 @@ func newRunnerFromMachine(m *kernel.Machine, ws []kernel.Workload, opts RunnerOp
 		return nil, err
 	}
 	r.goldenDisk = dev.Hash()
+	r.goldenSamples = cov.Samples()
+	// Only point-model targets consult coverage, and only with
+	// checkpointing on: with it off, goldenActivation must report every
+	// activation unknown.
+	if _, point := model.(PointModel); point && r.checkpointing {
+		r.cov, r.branchSummary = cov, !textData
+	}
 	// The golden run's dirty set, intersected with the ramdisk, is
 	// exactly where the golden image differs from the snapshot state;
 	// the incremental disk comparison must always revisit those pages.
 	// Intersected with text, it must be empty for a never-run target's
 	// windows to be the pristine bytes.
-	r.cov, r.branchSummary = cov, !textData
 	r.goldenPages = make(map[uint32][]byte)
 	for pn := range m.PagesChangedSince(r.snap) {
 		if pn >= ramdiskFirstPage && pn < ramdiskEndPage {

@@ -1,8 +1,9 @@
 // Package kernprof is the kernel profiler (the study's Kernprof v0.12
-// substitute): it samples the simulated program counter while the
-// benchmark workloads run and attributes samples to kernel functions.
-// The study used it to find the most frequently used functions — the
-// top functions covering 95% of samples became the injection targets.
+// substitute): it attributes to kernel functions the program-counter
+// samples the CPU takes every cpu.SamplePeriod cycles of the injection
+// runner's golden pass, while the benchmark workloads run. The study
+// used it to find the most frequently used functions — the top
+// functions covering 95% of samples became the injection targets.
 package kernprof
 
 import (
@@ -11,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/asm"
-	"repro/internal/kernel"
 )
 
 // FuncProfile is one profiled function.
@@ -23,7 +23,7 @@ type FuncProfile struct {
 	CumPct  float64 // cumulative share in rank order
 }
 
-// Profile is the result of a profiling run.
+// Profile is a kernel profile: PC samples attributed to functions.
 type Profile struct {
 	// Funcs is every function that received at least one sample,
 	// sorted by sample count descending.
@@ -34,42 +34,21 @@ type Profile struct {
 	SectionTotals map[string]uint64
 }
 
-// DefaultSampleEvery is the profiling sample period in cycles.
-const DefaultSampleEvery = 97 // prime, to avoid beating with loops
-
-// Collect profiles the kernel while the given workloads run on a
-// freshly booted machine.
-func Collect(ws []kernel.Workload, budget uint64, sampleEvery uint64) (*Profile, error) {
-	m, err := kernel.Boot()
-	if err != nil {
-		return nil, err
-	}
-	if sampleEvery == 0 {
-		sampleEvery = DefaultSampleEvery
-	}
-
-	lookup := newFuncIndex(m.Prog)
-	counts := make(map[int]uint64)
-	m.CPU.SampleEvery = sampleEvery
-	m.CPU.OnSample = func(eip uint32) {
-		if idx := lookup.find(eip); idx >= 0 {
-			counts[idx]++
+// FromSamples attributes PC samples, a count per sampled address, to
+// the functions of prog; a sample outside every function (user code)
+// is dropped.
+func FromSamples(prog *asm.Program, samples map[uint32]uint64) *Profile {
+	counts := make(map[asm.Func]uint64)
+	for eip, n := range samples {
+		if f, ok := prog.FuncAt(eip); ok {
+			counts[f] += n
 		}
 	}
-	res := m.RunWorkloads(ws, budget)
-	if res.Err != nil {
-		return nil, fmt.Errorf("kernprof: workload run failed: %w", res.Err)
-	}
-	return buildProfile(lookup, counts), nil
-}
-
-func buildProfile(idx *funcIndex, counts map[int]uint64) *Profile {
 	p := &Profile{SectionTotals: make(map[string]uint64)}
-	for i, c := range counts {
-		f := idx.funcs[i]
-		p.Funcs = append(p.Funcs, FuncProfile{Name: f.Name, Section: f.Section, Samples: c})
-		p.Total += c
-		p.SectionTotals[f.Section] += c
+	for f, n := range counts {
+		p.Funcs = append(p.Funcs, FuncProfile{Name: f.Name, Section: f.Section, Samples: n})
+		p.Total += n
+		p.SectionTotals[f.Section] += n
 	}
 	sort.Slice(p.Funcs, func(i, j int) bool {
 		if p.Funcs[i].Samples != p.Funcs[j].Samples {
@@ -142,34 +121,4 @@ func (p *Profile) Render(max int) string {
 			f.Name, f.Section, f.Samples, f.Pct, f.CumPct)
 	}
 	return b.String()
-}
-
-// funcIndex maps addresses to functions with binary search.
-type funcIndex struct {
-	funcs  []asm.Func
-	starts []uint32
-}
-
-func newFuncIndex(prog *asm.Program) *funcIndex {
-	funcs := make([]asm.Func, len(prog.Funcs))
-	copy(funcs, prog.Funcs)
-	sort.Slice(funcs, func(i, j int) bool { return funcs[i].Addr < funcs[j].Addr })
-	idx := &funcIndex{funcs: funcs, starts: make([]uint32, len(funcs))}
-	for i, f := range funcs {
-		idx.starts[i] = f.Addr
-	}
-	return idx
-}
-
-// find returns the index of the function containing eip, or -1.
-func (ix *funcIndex) find(eip uint32) int {
-	i := sort.Search(len(ix.starts), func(k int) bool { return ix.starts[k] > eip }) - 1
-	if i < 0 {
-		return -1
-	}
-	f := ix.funcs[i]
-	if eip >= f.Addr && eip < f.Addr+f.Size {
-		return i
-	}
-	return -1
 }
